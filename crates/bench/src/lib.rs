@@ -16,7 +16,7 @@
 //! direction of gaps, sweet spots) is; see `EXPERIMENTS.md`.
 
 use parbs_sim::experiments::SweepRow;
-use parbs_sim::{Harness, MixEvaluation, Session, SimConfig};
+use parbs_sim::{Harness, MixEvaluation, SimConfig};
 
 /// Run scale parsed from the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,38 +63,47 @@ impl Scale {
     }
 
     /// Parses `--quick`, `--target N`, `--mixes N`, `--seed N`, `--jobs N`
-    /// from argv.
+    /// from argv. A malformed value prints the error and exits with status 2.
     #[must_use]
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_arg_slice(&args)
+        Self::from_arg_slice(&args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     }
 
     /// Parses the flags from an explicit argument slice (testable core of
     /// [`Scale::from_args`]).
-    #[must_use]
-    pub fn from_arg_slice(args: &[String]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// A flag with a missing or non-integer value is an error naming the
+    /// flag — silently falling back to the default would run the wrong
+    /// experiment.
+    pub fn from_arg_slice(args: &[String]) -> Result<Self, String> {
         let mut scale =
             if args.iter().any(|a| a == "--quick") { Self::quick() } else { Self::paper() };
-        let value_of = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<u64>().ok())
+        let value_of = |flag: &str| -> Result<Option<u64>, String> {
+            let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
+            let v = args.get(i + 1).ok_or_else(|| format!("{flag} requires a value"))?;
+            v.parse().map(Some).map_err(|_| {
+                format!("invalid value '{v}' for {flag}: expected a non-negative integer")
+            })
         };
-        if let Some(t) = value_of("--target") {
+        if let Some(t) = value_of("--target")? {
             scale.target = t.max(100);
         }
-        if let Some(m) = value_of("--mixes") {
+        if let Some(m) = value_of("--mixes")? {
             scale.mixes4 = m as usize;
         }
-        if let Some(s) = value_of("--seed") {
+        if let Some(s) = value_of("--seed")? {
             scale.seed = s;
         }
-        if let Some(j) = value_of("--jobs") {
+        if let Some(j) = value_of("--jobs")? {
             scale.jobs = (j as usize).max(1);
         }
-        scale
+        Ok(scale)
     }
 
     /// A measurement harness for a `cores`-core system at this scale. Fan
@@ -102,13 +111,6 @@ impl Scale {
     #[must_use]
     pub fn harness(&self, cores: usize) -> Harness {
         Harness::new(SimConfig { target_instructions: self.target, ..SimConfig::for_cores(cores) })
-    }
-
-    /// A measurement session for an `cores`-core system at this scale.
-    #[deprecated(note = "use `Scale::harness` and the plan-based API")]
-    #[must_use]
-    pub fn session(&self, cores: usize) -> Session {
-        Session::new(SimConfig { target_instructions: self.target, ..SimConfig::for_cores(cores) })
     }
 }
 
@@ -371,6 +373,10 @@ mod tests {
         list.iter().map(|s| (*s).to_owned()).collect()
     }
 
+    fn parse(list: &[&str]) -> Scale {
+        Scale::from_arg_slice(&args(list)).expect("well-formed flags parse")
+    }
+
     #[test]
     fn hotpath_sort_and_key_scan_pick_the_same_request() {
         for kind in hotpath::all_schedulers() {
@@ -389,20 +395,18 @@ mod tests {
 
     #[test]
     fn default_scale_is_paper() {
-        assert_eq!(Scale::from_arg_slice(&[]), Scale::paper());
+        assert_eq!(parse(&[]), Scale::paper());
     }
 
     #[test]
     fn quick_flag_switches_base() {
-        let s = Scale::from_arg_slice(&args(&["--quick"]));
+        let s = parse(&["--quick"]);
         assert_eq!(s, Scale::quick());
     }
 
     #[test]
     fn explicit_flags_override() {
-        let s = Scale::from_arg_slice(&args(&[
-            "--quick", "--target", "9000", "--mixes", "7", "--seed", "3",
-        ]));
+        let s = parse(&["--quick", "--target", "9000", "--mixes", "7", "--seed", "3"]);
         assert_eq!(s.target, 9_000);
         assert_eq!(s.mixes4, 7);
         assert_eq!(s.seed, 3);
@@ -411,23 +415,30 @@ mod tests {
 
     #[test]
     fn jobs_flag_overrides_and_is_clamped() {
-        let s = Scale::from_arg_slice(&args(&["--jobs", "6"]));
+        let s = parse(&["--jobs", "6"]);
         assert_eq!(s.jobs, 6);
-        let s = Scale::from_arg_slice(&args(&["--jobs", "0"]));
+        let s = parse(&["--jobs", "0"]);
         assert_eq!(s.jobs, 1, "jobs=0 clamps to one worker");
-        let s = Scale::from_arg_slice(&[]);
+        let s = parse(&[]);
         assert_eq!(s.jobs, parbs_sim::default_jobs());
     }
 
     #[test]
     fn tiny_target_is_clamped() {
-        let s = Scale::from_arg_slice(&args(&["--target", "1"]));
+        let s = parse(&["--target", "1"]);
         assert_eq!(s.target, 100);
     }
 
     #[test]
-    fn malformed_values_are_ignored() {
-        let s = Scale::from_arg_slice(&args(&["--target", "abc"]));
-        assert_eq!(s.target, Scale::paper().target);
+    fn malformed_values_are_rejected() {
+        for (list, flag) in [
+            (&["--target", "abc"][..], "--target"),
+            (&["--quick", "--mixes", "-3"][..], "--mixes"),
+            (&["--seed", "4.5"][..], "--seed"),
+            (&["--jobs"][..], "--jobs"),
+        ] {
+            let err = Scale::from_arg_slice(&args(list)).expect_err("malformed value must fail");
+            assert!(err.contains(flag), "error for {list:?} must name {flag}: {err}");
+        }
     }
 }

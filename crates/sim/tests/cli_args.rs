@@ -70,12 +70,12 @@ fn checkpoint_interval_without_a_sink_is_a_hard_error() {
 }
 
 #[test]
-fn non_power_of_two_lanes_is_a_hard_error() {
-    // Lane kernels are monomorphized for widths 1/2/4; any other width
-    // must be a hard error naming --lanes, never a silent scalar fallback.
-    run_expecting_usage_error(&["list", "--lanes", "3"], "--lanes");
-    run_expecting_usage_error(&["run", "lbm", "--lanes", "8"], "--lanes");
-    run_expecting_usage_error(&["zoo-sweep", "0", "--lanes", "0"], "--lanes");
+fn unknown_flag_is_a_hard_error() {
+    // A typo or a retired flag must be rejected by name, never silently
+    // ignored while the run goes ahead with defaults.
+    run_expecting_usage_error(&["sweep", "3", "--lanes", "4"], "--lanes");
+    run_expecting_usage_error(&["run", "lbm", "--jbos", "2"], "--jbos");
+    run_expecting_usage_error(&["list", "--lanes", "1"], "--lanes");
 }
 
 #[test]
