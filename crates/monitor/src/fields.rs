@@ -3,9 +3,9 @@
 //!
 //! Most fields are verbatim event payload; a few are *derived* so specs can
 //! express checks that need structured payloads (`rank_permutation` /
-//! `rank_sorted` fold the `RankComputed` entry list exactly the way
-//! `parbs_obs::InvariantSink` does, which is what makes the invariant
-//! prelude verdict-identical).
+//! `rank_sorted` fold the `RankComputed` entry list exactly the way the
+//! reference oracle in the workspace tests does, which is what makes the
+//! invariant prelude verdict-identical).
 
 use parbs_obs::{CmdKind, Event, ServiceClass};
 
@@ -324,7 +324,7 @@ fn clamp_usize(v: usize) -> i64 {
 
 /// Derived `rank_permutation`: ranks are exactly `0..n`, each once.
 ///
-/// Mirrors `InvariantSink`'s permutation check verbatim.
+/// Mirrors the reference oracle's permutation check verbatim.
 fn rank_permutation(entries: &[parbs_obs::RankEntry]) -> bool {
     let mut ranks: Vec<u32> = entries.iter().map(|e| e.rank).collect();
     ranks.sort_unstable();
@@ -334,7 +334,7 @@ fn rank_permutation(entries: &[parbs_obs::RankEntry]) -> bool {
 /// Derived `rank_sorted`: walking the entries in rank order, the
 /// `(max_bank_load, total_load)` pairs never decrease.
 ///
-/// Mirrors `InvariantSink`'s Max-Total (shortest-job-first) check verbatim.
+/// Mirrors the reference oracle's Max-Total (shortest-job-first) check.
 fn rank_sorted(entries: &[parbs_obs::RankEntry]) -> bool {
     let mut by_rank: Vec<&parbs_obs::RankEntry> = entries.iter().collect();
     by_rank.sort_by_key(|e| e.rank);
@@ -470,7 +470,7 @@ pub fn value(event: &Event, field: Field) -> i64 {
 /// The thread an event concerns, when it names exactly one.
 ///
 /// Alarms carry this so monitor verdicts can be compared to
-/// `InvariantSink` violations per thread.
+/// the reference oracle's violations per thread.
 #[must_use]
 pub fn thread_of(event: &Event) -> Option<usize> {
     match event {

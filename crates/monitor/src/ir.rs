@@ -7,7 +7,7 @@
 //! 2. [`Step`]s run in declaration order — state updates and trigger
 //!    evaluations interleave, so a trigger declared after a counter arm
 //!    sees the post-update value (this is what lets the Marking-Cap
-//!    trigger reproduce `InvariantSink`'s increment-then-check).
+//!    trigger reproduce the reference oracle's increment-then-check).
 //! 3. [`Removal`]s run last, so same-event readers (e.g. a `sub` arm
 //!    keyed through a map the event also removes from) still see the
 //!    entry.

@@ -36,8 +36,8 @@
 //! typed; division by zero yields 0. Per event, updates and triggers run
 //! interleaved in declaration order against pre-update guards, and
 //! `remove`/`reset` arms run last — the exact semantics that let the
-//! [`prelude::INVARIANTS`] spec reproduce `parbs_obs::InvariantSink`
-//! verdict-for-verdict.
+//! [`prelude::INVARIANTS`] spec reproduce the hand-written reference
+//! oracle of the workspace tests verdict-for-verdict.
 //!
 //! ## Entry points
 //!

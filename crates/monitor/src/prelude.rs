@@ -1,22 +1,23 @@
 //! Built-in specs shipped with the crate.
 //!
 //! [`INVARIANTS`] re-expresses the four PAR-BS batching invariants in the
-//! spec language, verdict-identical to `parbs_obs::InvariantSink` on
-//! `(rule, cycle, thread)` triples (the workspace test
-//! `tests/monitor_identity.rs` enforces this across the scheduler zoo,
-//! online and via JSONL replay). [`QOS`] goes beyond the invariant sink:
-//! windowed attained-service share, BLISS blacklist staleness, and flow
-//! backlog high-water alerts.
+//! spec language; it is the simulator's invariant checker (`parbs-sim
+//! --check-invariants`). It is verdict-identical on `(rule, cycle,
+//! thread)` triples to a hand-written reference oracle kept in the
+//! workspace tests (`tests/monitor_identity.rs` enforces this across the
+//! scheduler zoo, online and via JSONL replay). [`QOS`] goes beyond the
+//! invariants: windowed attained-service share, BLISS blacklist
+//! staleness, and flow backlog high-water alerts.
 
 use crate::Spec;
 
 /// The four PAR-BS batching invariants as a monitor spec.
 ///
-/// Trigger names match `InvariantRule::name()`: `marked-first`,
-/// `marking-cap`, `batch-exclusive`, `rank-order`.
+/// Trigger names, one per rule: `marked-first`, `marking-cap`,
+/// `batch-exclusive`, `rank-order`.
 pub const INVARIANTS: &str = r#"
 # PAR-BS batching invariants (Mutlu & Moscibroda, ISCA 2008), re-expressed
-# as streams. Verdict-identical to parbs_obs::InvariantSink.
+# as streams. Verdict-identical to the reference oracle in tests/common.
 
 input enq    := enqueued when !write
 input mark   := marked

@@ -44,8 +44,10 @@
 //! observability (case-study / mix only; runs the mix once, observed):
 //!          --trace-out <path>        write the event trace to <path>
 //!          --trace-format <fmt>      chrome (Perfetto-loadable) | jsonl
-//!          --check-invariants        verify PAR-BS batching invariants;
-//!                                    exit 1 on any violation
+//!          --check-invariants        attach the prelude:invariants monitor
+//!                                    (PAR-BS batching rules) and the DRAM
+//!                                    protocol checker; exit 1 on any
+//!                                    violation
 //!          --trace-sched <name>      scheduler for the observed run
 //!                                    (FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|
 //!                                    BLISS|ATLAS, default PAR-BS)
@@ -54,15 +56,14 @@
 //!                                    prelude:qos; exit 1 on error alarms
 //!          --monitor-report          print the per-trigger fire counts
 //!
-//! `--spec` also works on zoo-sweep (observed re-runs print a trigger table
-//! per scheduler) and flow-sweep (alarm totals per run).
+//! `--check-invariants` and `--spec` also work on flow-sweep (alarm totals
+//! per run); `--spec` also works on zoo-sweep (observed re-runs print a
+//! trigger table per scheduler).
 //!
 //! flow-sweep options:
 //!          --sched <name>            run one scheduler instead of the zoo
 //!          --flow-rate <n>           mean flow arrivals per kilocycle (2)
 //!          --flow-size-max <n>       bounded-Pareto size cap, requests (256)
-//!          --check-invariants        protocol checker + scheduler invariant
-//!                                    audit on every controller
 //! ```
 //!
 //! Every evaluation command fans its plan across `--jobs` worker threads
@@ -246,22 +247,52 @@ impl ShapeArgs {
     }
 }
 
+/// The checking flags. `--check-invariants` attaches the
+/// `prelude:invariants` monitor and turns on the DRAM protocol checker, on
+/// every command that takes it; `--spec S` attaches `S` after it.
+struct Checks {
+    invariants: bool,
+    specs: Vec<Spec>,
+}
+
+impl Checks {
+    fn parse(args: &[String]) -> Checks {
+        let invariants = args.iter().any(|a| a == "--check-invariants");
+        let mut specs: Vec<Spec> =
+            invariants.then(parbs_monitor::prelude::invariants).into_iter().collect();
+        specs.extend(str_value_of(args, "--spec").map(load_spec));
+        Checks { invariants, specs }
+    }
+
+    fn apply(&self, cfg: &mut SimConfig) {
+        cfg.check_protocol |= self.invariants;
+    }
+
+    /// How spec `i` reports: its verdict-line name, the verb for what was
+    /// covered, and the noun for its alarms.
+    fn labels(&self, i: usize) -> (&'static str, &'static str, &'static str) {
+        if self.invariants && i == 0 {
+            ("invariants", "checked", "invariant violation(s)")
+        } else {
+            ("monitor", "monitored", "monitor alarm(s)")
+        }
+    }
+}
+
 /// The observability flags, when any is present.
 struct ObserveArgs {
     out: Option<String>,
     format: TraceFormat,
-    check: bool,
+    checks: Checks,
     sched: SchedulerKind,
-    spec: Option<Spec>,
     monitor_report: bool,
 }
 
 fn observe_args(args: &[String]) -> Option<ObserveArgs> {
     let out = str_value_of(args, "--trace-out").map(str::to_owned);
-    let check = args.iter().any(|a| a == "--check-invariants");
-    let spec = str_value_of(args, "--spec").map(load_spec);
+    let checks = Checks::parse(args);
     let monitor_report = args.iter().any(|a| a == "--monitor-report");
-    if out.is_none() && !check && spec.is_none() {
+    if out.is_none() && checks.specs.is_empty() {
         return None;
     }
     let format = match str_value_of(args, "--trace-format") {
@@ -280,11 +311,11 @@ fn observe_args(args: &[String]) -> Option<ObserveArgs> {
             std::process::exit(2);
         }),
     };
-    Some(ObserveArgs { out, format, check, sched, spec, monitor_report })
+    Some(ObserveArgs { out, format, checks, sched, monitor_report })
 }
 
-/// Runs `mix` once with sinks attached, writes the trace, prints the
-/// invariant reports, and exits non-zero if a batching invariant broke.
+/// Runs `mix` once with sinks attached, writes the trace, prints one
+/// report per attached spec, and exits non-zero on an error alarm.
 fn run_observed_cli(
     mix: &parbs_workloads::MixSpec,
     target: u64,
@@ -295,10 +326,10 @@ fn run_observed_cli(
     let mut cfg =
         SimConfig { target_instructions: target, seed, ..SimConfig::for_cores(mix.cores()) };
     shape.apply(&mut cfg);
+    oa.checks.apply(&mut cfg);
     let opts = ObserveOptions {
-        check_invariants: oa.check,
         trace: oa.out.as_ref().map(|_| oa.format),
-        spec: oa.spec.clone(),
+        specs: oa.checks.specs.clone(),
     };
     let start = Instant::now();
     let obs = parbs_sim::run_observed(cfg, mix, &oa.sched, &opts);
@@ -317,22 +348,11 @@ fn run_observed_cli(
         }
         println!("wrote {} bytes of {} trace to {path}", trace.len(), oa.format.name());
     }
-    if oa.check {
-        for rep in &obs.invariants {
-            println!("channel {}: {}", rep.channel, rep.summary);
-            for v in &rep.violations {
-                println!("{v}");
-            }
-        }
-        if obs.violation_count > 0 {
-            eprintln!("{} invariant violation(s)", obs.violation_count);
-            std::process::exit(1);
-        }
-        println!("invariants: OK ({} channel(s) checked)", obs.invariants.len());
-    }
-    if oa.spec.is_some() {
+    for i in 0..oa.checks.specs.len() {
+        let (name, verb, what) = oa.checks.labels(i);
+        let reports: Vec<_> = obs.monitors.iter().filter(|rep| rep.spec == i).collect();
         let mut errors = false;
-        for rep in &obs.monitors {
+        for rep in &reports {
             println!("channel {}: {}", rep.channel, rep.summary);
             for a in &rep.alarms {
                 println!("{a}");
@@ -345,10 +365,11 @@ fn run_observed_cli(
             errors |= !rep.ok;
         }
         if errors {
-            eprintln!("{} monitor alarm(s)", obs.alarm_count);
+            let alarms: usize = reports.iter().map(|rep| rep.alarms.len()).sum();
+            eprintln!("{alarms} {what}");
             std::process::exit(1);
         }
-        println!("monitor: OK ({} channel(s) monitored)", obs.monitors.len());
+        println!("{name}: OK ({} channel(s) {verb})", reports.len());
     }
     println!("observed in {:.2}s", start.elapsed().as_secs_f64());
 }
@@ -377,7 +398,7 @@ fn zoo_trigger_table(
                 ..SimConfig::for_cores(mix.cores())
             };
             shape.apply(&mut cfg);
-            let opts = ObserveOptions { spec: Some(spec.clone()), ..Default::default() };
+            let opts = ObserveOptions { specs: vec![spec.clone()], ..Default::default() };
             let obs = parbs_sim::run_observed(cfg, mix, &sched, &opts);
             let mut counts = vec![0u64; triggers.len()];
             let mut events = 0u64;
@@ -826,8 +847,8 @@ fn main() {
                 seed,
                 ..FlowConfig::default()
             };
-            let check = args.iter().any(|a| a == "--check-invariants");
-            let spec = str_value_of(&args, "--spec").map(load_spec);
+            let checks = Checks::parse(&args);
+            checks.apply(&mut cfg);
             let schedulers = match str_value_of(&args, "--sched") {
                 None => SchedulerKind::zoo_seven(),
                 Some(s) => vec![sched_by_name(s).unwrap_or_else(|| {
@@ -848,18 +869,11 @@ fn main() {
                 scales,
                 rate_per_kcycle,
                 size_max,
-                if check { ", invariants checked" } else { "" }
+                if checks.invariants { ", invariants checked" } else { "" }
             );
             let start = Instant::now();
-            let rows = parbs_sim::run_flow_sweep(
-                &cfg,
-                &schedulers,
-                &scales,
-                &flows,
-                check,
-                spec.as_ref(),
-                jobs,
-            );
+            let rows =
+                parbs_sim::run_flow_sweep(&cfg, &schedulers, &scales, &flows, &checks.specs, jobs);
             println!(
                 "{:10} {:>6} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8}",
                 "scheduler",
@@ -872,8 +886,6 @@ fn main() {
                 "sd-rate",
                 "backlog"
             );
-            let mut violations = 0;
-            let mut alarms = 0;
             for r in &rows {
                 let s = &r.summary;
                 println!(
@@ -889,8 +901,6 @@ fn main() {
                     r.drive.peak_backlog,
                     if r.drive.timed_out { " (timed out)" } else { "" }
                 );
-                violations += r.drive.invariant_violations;
-                alarms += r.drive.monitor_alarms;
             }
             println!(
                 "{} flow run(s) in {:.2}s (jobs={})",
@@ -898,19 +908,14 @@ fn main() {
                 start.elapsed().as_secs_f64(),
                 jobs
             );
-            if check {
-                if violations > 0 {
-                    eprintln!("{violations} invariant violation(s)");
-                    std::process::exit(1);
-                }
-                println!("invariants: OK ({} run(s) checked)", rows.len());
-            }
-            if spec.is_some() {
+            for i in 0..checks.specs.len() {
+                let (name, verb, what) = checks.labels(i);
+                let alarms: usize = rows.iter().map(|r| r.drive.monitor_alarms[i]).sum();
                 if alarms > 0 {
-                    eprintln!("{alarms} monitor alarm(s)");
+                    eprintln!("{alarms} {what}");
                     std::process::exit(1);
                 }
-                println!("monitor: OK ({} run(s) monitored)", rows.len());
+                println!("{name}: OK ({} run(s) {verb})", rows.len());
             }
         }
         Some("monitor") => {

@@ -25,11 +25,11 @@ use std::collections::{HashMap, VecDeque};
 
 use parbs_dram::{Controller, LineAddr, Request, RequestKind, ThreadId};
 use parbs_metrics::{FlowMetrics, FlowSummary, LatencyHistogram};
-use parbs_monitor::{Monitor, Spec};
-use parbs_obs::{downcast_sink, FanoutSink, InvariantSink};
+use parbs_monitor::Spec;
 use parbs_workloads::{FlowConfig, FlowSource, RequestSource};
 
 use crate::executor::scope_map;
+use crate::observe::{monitor_fanout, take_monitors};
 use crate::{SchedulerKind, SimConfig};
 
 /// One buffered request: decoded address plus the source's token.
@@ -53,55 +53,41 @@ pub struct SourceDriveResult {
     pub read_latency: LatencyHistogram,
     /// Deepest total (all-channel) driver-side backlog observed.
     pub peak_backlog: usize,
-    /// Protocol/scheduler invariant violations observed (always 0 unless
-    /// invariant checking was requested).
-    pub invariant_violations: usize,
-    /// Monitor alarms observed (always 0 unless a spec was given).
-    pub monitor_alarms: usize,
+    /// Monitor alarms observed over all channels, one count per spec.
+    pub monitor_alarms: Vec<usize>,
 }
 
 /// Drives `source` against fresh controllers built from `cfg` until the
 /// source is exhausted and every buffered/in-flight request has completed,
 /// or `cfg.max_cycles` elapses.
 ///
-/// With `check_invariants`, every controller runs the DRAM protocol
-/// checker **and** an [`InvariantSink`] auditing scheduler events; the
-/// violation count lands in the result (the protocol checker itself panics
-/// on violation, as elsewhere in the crate). With `spec`, every controller
-/// additionally runs a [`parbs_monitor`] monitor compiled from the spec and
-/// the alarm count lands in `monitor_alarms`.
+/// With `cfg.check_protocol`, every controller runs the DRAM protocol
+/// checker, which panics on violation as elsewhere in the crate. Every
+/// controller runs one [`parbs_monitor`] monitor per spec, and the alarm
+/// counts land in `monitor_alarms`.
 ///
 /// # Panics
 ///
 /// Panics if the DRAM configuration is invalid, or on a protocol timing
-/// violation when `check_invariants` is set.
+/// violation when `cfg.check_protocol` is set.
 pub fn drive_source(
     cfg: &SimConfig,
     scheduler: &SchedulerKind,
     source: &mut dyn RequestSource,
-    check_invariants: bool,
-    spec: Option<&Spec>,
+    specs: &[Spec],
 ) -> SourceDriveResult {
     let mut controllers: Vec<Controller> = (0..cfg.dram.channels())
         .map(|_| {
-            if check_invariants || cfg.check_protocol {
+            if cfg.check_protocol {
                 Controller::with_checker(cfg.dram.clone(), scheduler.build(cfg))
             } else {
                 Controller::new(cfg.dram.clone(), scheduler.build(cfg))
             }
         })
         .collect();
-    if check_invariants || spec.is_some() {
+    if !specs.is_empty() {
         for ctrl in &mut controllers {
-            ctrl.scheduler_mut().set_observing(true);
-            let mut fan = FanoutSink::new();
-            if check_invariants {
-                fan.push(Box::new(InvariantSink::new()));
-            }
-            if let Some(spec) = spec {
-                fan.push(Box::new(spec.monitor()));
-            }
-            ctrl.set_event_sink(Box::new(fan));
+            ctrl.set_event_sink(Box::new(monitor_fanout(specs)));
         }
     }
     let mapper = cfg.dram.mapper();
@@ -173,22 +159,11 @@ pub fn drive_source(
         read_latency.merge(&ctrl.stats().read_latency);
         reads_completed += ctrl.stats().reads_completed;
     }
-    let mut invariant_violations = 0;
-    let mut monitor_alarms = 0;
+    let mut monitor_alarms = vec![0; specs.len()];
     for ctrl in &mut controllers {
         let Some(sink) = ctrl.take_event_sink() else { continue };
-        let Ok(fan) = downcast_sink::<FanoutSink>(sink) else { continue };
-        for child in fan.into_sinks() {
-            let child = match downcast_sink::<InvariantSink>(child) {
-                Ok(inv) => {
-                    invariant_violations += inv.violations().len();
-                    continue;
-                }
-                Err(child) => child,
-            };
-            if let Ok(mon) = downcast_sink::<Monitor>(child) {
-                monitor_alarms += mon.alarms().len();
-            }
+        for (alarms, mon) in monitor_alarms.iter_mut().zip(take_monitors(sink, specs.len()).0) {
+            *alarms += mon.alarms().len();
         }
     }
     SourceDriveResult {
@@ -197,7 +172,6 @@ pub fn drive_source(
         reads_completed,
         read_latency,
         peak_backlog,
-        invariant_violations,
         monitor_alarms,
     }
 }
@@ -228,11 +202,10 @@ pub fn run_flow(
     cfg: &SimConfig,
     scheduler: &SchedulerKind,
     flows: &FlowConfig,
-    check_invariants: bool,
-    spec: Option<&Spec>,
+    specs: &[Spec],
 ) -> FlowRunResult {
     let mut source = FlowSource::new(*flows);
-    let drive = drive_source(cfg, scheduler, &mut source, check_invariants, spec);
+    let drive = drive_source(cfg, scheduler, &mut source, specs);
     let completed = source.take_completed();
     // Self-calibrating isolation proxy: the best read latency this run
     // demonstrated stands in for unloaded latency.
@@ -265,15 +238,14 @@ pub fn run_flow_sweep(
     schedulers: &[SchedulerKind],
     scales: &[usize],
     flows: &FlowConfig,
-    check_invariants: bool,
-    spec: Option<&Spec>,
+    specs: &[Spec],
     jobs: usize,
 ) -> Vec<FlowRunResult> {
     let cells: Vec<(SchedulerKind, usize)> =
         schedulers.iter().flat_map(|s| scales.iter().map(move |&n| (s.clone(), n))).collect();
     scope_map(&cells, jobs, |(sched, n)| {
         let fc = FlowConfig { requesters: *n, ..*flows };
-        run_flow(cfg, sched, &fc, check_invariants, spec)
+        run_flow(cfg, sched, &fc, specs)
     })
 }
 
@@ -296,7 +268,7 @@ mod tests {
     #[test]
     fn flow_run_completes_all_flows() {
         let cfg = SimConfig::for_cores(4);
-        let r = run_flow(&cfg, &SchedulerKind::FrFcfs, &tiny_flows(48), false, None);
+        let r = run_flow(&cfg, &SchedulerKind::FrFcfs, &tiny_flows(48), &[]);
         assert!(!r.drive.timed_out);
         assert_eq!(r.completed, 48);
         assert_eq!(r.summary.flows, 48);
@@ -306,18 +278,14 @@ mod tests {
 
     #[test]
     fn invariant_checked_run_is_clean() {
-        let cfg = SimConfig::for_cores(4);
-        let spec = parbs_monitor::prelude::invariants();
-        let r = run_flow(
-            &cfg,
-            &SchedulerKind::ParBs(Default::default()),
-            &tiny_flows(24),
-            true,
-            Some(&spec),
-        );
+        let cfg = SimConfig { check_protocol: true, ..SimConfig::for_cores(4) };
+        let specs = [parbs_monitor::prelude::invariants(), parbs_monitor::prelude::qos()];
+        let r = run_flow(&cfg, &SchedulerKind::ParBs(Default::default()), &tiny_flows(24), &specs);
         assert!(!r.drive.timed_out);
-        assert_eq!(r.drive.invariant_violations, 0);
-        assert_eq!(r.drive.monitor_alarms, 0);
+        // One count per spec: the invariants hold, while the advisory QoS
+        // spec is free to warn about the backlog.
+        assert_eq!(r.drive.monitor_alarms.len(), 2);
+        assert_eq!(r.drive.monitor_alarms[0], 0);
     }
 
     #[test]
@@ -335,7 +303,7 @@ mod tests {
             })
             .collect();
         let mut src = ClosedLoopSource::new(cfg.core, streams, cfg.target_instructions);
-        let r = drive_source(&cfg, &SchedulerKind::FrFcfs, &mut src, false, None);
+        let r = drive_source(&cfg, &SchedulerKind::FrFcfs, &mut src, &[]);
         assert!(!r.timed_out, "closed-loop source drains through the open-loop driver");
         assert!(r.reads_completed > 0);
     }

@@ -54,9 +54,7 @@ pub use config::SimConfig;
 pub use executor::default_jobs;
 pub use flow::{drive_source, run_flow, run_flow_sweep, FlowRunResult, SourceDriveResult};
 pub use harness::{AloneKey, CacheStats, Harness, MixEvaluation};
-pub use observe::{
-    run_observed, ChannelReport, MonitorReport, ObserveOptions, ObservedRun, TraceFormat,
-};
+pub use observe::{run_observed, MonitorReport, ObserveOptions, ObservedRun, TraceFormat};
 pub use plan::{EvalJob, EvalOverrides, EvalPlan};
 pub use sched_kind::SchedulerKind;
 pub use system::{RunProgress, RunResult, System, ThreadRunStats};

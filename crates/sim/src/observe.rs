@@ -1,18 +1,16 @@
-//! Observed single runs: attach [`parbs_obs`] sinks to every DRAM channel,
-//! run a mix once, and collect the trace payload, counter summary and
-//! invariant reports — the engine behind `parbs-sim --trace-out` and
-//! `--check-invariants`.
+//! Observed single runs: attach [`parbs_obs`] sinks and one
+//! [`parbs_monitor`] monitor per spec to every DRAM channel, run a mix
+//! once, and collect the trace payload, counter summary and monitor
+//! reports — the engine behind `parbs-sim --trace-out`, `--check-invariants`
+//! (the `prelude:invariants` spec) and `--spec`.
 //!
 //! Channel 0 (where most requests of a 1-channel Table 2 system land)
-//! carries the trace and counter sinks; every channel gets an
-//! [`InvariantSink`] when invariant checking is on, since the PAR-BS
-//! batching rules hold per controller.
+//! carries the trace and counter sinks; every channel gets the monitors,
+//! since the PAR-BS batching rules hold per controller.
 
 use parbs_cpu::InstructionStream;
 use parbs_monitor::{Monitor, Spec};
-use parbs_obs::{
-    downcast_sink, ChromeTraceSink, CounterSink, FanoutSink, InvariantSink, JsonlSink,
-};
+use parbs_obs::{downcast_sink, ChromeTraceSink, CounterSink, EventSink, FanoutSink, JsonlSink};
 use parbs_workloads::{MixSpec, SyntheticStream};
 
 use crate::{RunResult, SchedulerKind, SimConfig, System};
@@ -51,31 +49,19 @@ impl TraceFormat {
 /// What to observe during a [`run_observed`] run.
 #[derive(Debug, Clone, Default)]
 pub struct ObserveOptions {
-    /// Attach an [`InvariantSink`] to every channel.
-    pub check_invariants: bool,
     /// Serialize channel 0's event stream in this format.
     pub trace: Option<TraceFormat>,
-    /// Attach a [`parbs_monitor`] monitor compiled from this spec to every
-    /// channel.
-    pub spec: Option<Spec>,
+    /// Attach one monitor compiled from each spec to every channel.
+    pub specs: Vec<Spec>,
 }
 
-/// Invariant-check outcome of one channel.
-#[derive(Debug, Clone)]
-pub struct ChannelReport {
-    /// Channel index.
-    pub channel: usize,
-    /// One-line sink summary (events seen, violations).
-    pub summary: String,
-    /// Formatted violation reports (rule, cycle, message, event window).
-    pub violations: Vec<String>,
-}
-
-/// Monitor outcome of one channel.
+/// Monitor outcome of one (channel, spec) pair.
 #[derive(Debug, Clone)]
 pub struct MonitorReport {
     /// Channel index.
     pub channel: usize,
+    /// Index into [`ObserveOptions::specs`] of the spec this monitor ran.
+    pub spec: usize,
     /// One-line monitor summary (events monitored, alarms).
     pub summary: String,
     /// Formatted alarms (`[severity] name cycle N: message`).
@@ -97,28 +83,50 @@ pub struct ObservedRun {
     pub trace: Option<String>,
     /// Channel-0 counter summary (always collected).
     pub counters: String,
-    /// Per-channel invariant reports (empty unless `check_invariants`).
-    pub invariants: Vec<ChannelReport>,
-    /// Total violations over all channels.
-    pub violation_count: usize,
-    /// Per-channel monitor reports (empty unless a spec was given).
+    /// Monitor reports, channel by channel and spec by spec within a
+    /// channel (empty unless specs were given).
     pub monitors: Vec<MonitorReport>,
-    /// Total monitor alarms (warn + error) over all channels.
-    pub alarm_count: usize,
 }
 
-/// Builds the per-channel sink stack. Push order is the detach contract of
-/// [`detach`]: invariants first, then the monitor, then counters, then the
-/// trace serializer.
+/// Starts a channel's sink stack with one monitor per spec, in spec order.
+/// Sinks pushed afterwards come back from [`take_monitors`] untouched.
+pub(crate) fn monitor_fanout(specs: &[Spec]) -> FanoutSink {
+    let mut fan = FanoutSink::new();
+    for spec in specs {
+        fan.push(Box::new(spec.monitor()));
+    }
+    fan
+}
+
+/// Takes apart a sink stack built by [`monitor_fanout`] over `specs` specs:
+/// the monitors in spec order, then the sinks pushed after them.
+///
+/// # Panics
+///
+/// Panics if `sink` is not such a stack.
+pub(crate) fn take_monitors(
+    sink: Box<dyn EventSink>,
+    specs: usize,
+) -> (Vec<Monitor>, Vec<Box<dyn EventSink>>) {
+    let Ok(fan) = downcast_sink::<FanoutSink>(sink) else {
+        panic!("a channel sink is always a monitor fan-out")
+    };
+    let mut monitors = fan.into_sinks();
+    let rest = monitors.split_off(specs);
+    let monitors = monitors
+        .into_iter()
+        .map(|m| {
+            *downcast_sink::<Monitor>(m).unwrap_or_else(|_| panic!("monitors lead the fan-out"))
+        })
+        .collect();
+    (monitors, rest)
+}
+
+/// Builds the per-channel sink stack: the monitors (see [`monitor_fanout`]),
+/// then, on channel 0, the counters and the trace serializer.
 fn attach(sys: &mut System, opts: &ObserveOptions) {
     for c in 0..sys.channels() {
-        let mut fan = FanoutSink::new();
-        if opts.check_invariants {
-            fan.push(Box::new(InvariantSink::new()));
-        }
-        if let Some(spec) = &opts.spec {
-            fan.push(Box::new(spec.monitor()));
-        }
+        let mut fan = monitor_fanout(&opts.specs);
         if c == 0 {
             fan.push(Box::new(CounterSink::new()));
             match opts.trace {
@@ -134,51 +142,28 @@ fn attach(sys: &mut System, opts: &ObserveOptions) {
 }
 
 /// Detaches every sink and folds their contents into an [`ObservedRun`].
-fn detach(sys: &mut System, result: RunResult) -> ObservedRun {
-    let mut out = ObservedRun {
-        result,
-        trace: None,
-        counters: String::new(),
-        invariants: Vec::new(),
-        violation_count: 0,
-        monitors: Vec::new(),
-        alarm_count: 0,
-    };
+fn detach(sys: &mut System, result: RunResult, specs: usize) -> ObservedRun {
+    let mut out =
+        ObservedRun { result, trace: None, counters: String::new(), monitors: Vec::new() };
     for c in 0..sys.channels() {
         let Some(sink) = sys.take_event_sink(c) else { continue };
-        let Ok(fan) = downcast_sink::<FanoutSink>(sink) else { continue };
-        for child in fan.into_sinks() {
-            let child = match downcast_sink::<InvariantSink>(child) {
-                Ok(inv) => {
-                    out.violation_count += inv.violations().len();
-                    out.invariants.push(ChannelReport {
-                        channel: c,
-                        summary: inv.summary(),
-                        violations: inv.violations().iter().map(ToString::to_string).collect(),
-                    });
-                    continue;
-                }
-                Err(child) => child,
-            };
-            let child = match downcast_sink::<Monitor>(child) {
-                Ok(mon) => {
-                    out.alarm_count += mon.alarms().len();
-                    out.monitors.push(MonitorReport {
-                        channel: c,
-                        summary: mon.summary(),
-                        alarms: mon.alarms().iter().map(ToString::to_string).collect(),
-                        trigger_counts: mon
-                            .trigger_counts()
-                            .into_iter()
-                            .map(|(n, s, k)| (n.to_owned(), s, k))
-                            .collect(),
-                        events: mon.events,
-                        ok: mon.ok(),
-                    });
-                    continue;
-                }
-                Err(child) => child,
-            };
+        let (monitors, rest) = take_monitors(sink, specs);
+        for (spec, mon) in monitors.into_iter().enumerate() {
+            out.monitors.push(MonitorReport {
+                channel: c,
+                spec,
+                summary: mon.summary(),
+                alarms: mon.alarms().iter().map(ToString::to_string).collect(),
+                trigger_counts: mon
+                    .trigger_counts()
+                    .into_iter()
+                    .map(|(n, s, k)| (n.to_owned(), s, k))
+                    .collect(),
+                events: mon.events,
+                ok: mon.ok(),
+            });
+        }
+        for child in rest {
             let child = match downcast_sink::<CounterSink>(child) {
                 Ok(counters) => {
                     out.counters = counters.summary();
@@ -228,7 +213,7 @@ pub fn run_observed(
     let mut sys = System::new(cfg, streams, scheduler);
     attach(&mut sys, opts);
     let result = sys.run();
-    detach(&mut sys, result)
+    detach(&mut sys, result, opts.specs.len())
 }
 
 #[cfg(test)]
@@ -244,9 +229,8 @@ mod tests {
     fn observed_parbs_run_is_clean_and_produces_a_trace() {
         let mix = case_study_1();
         let opts = ObserveOptions {
-            check_invariants: true,
             trace: Some(TraceFormat::Chrome),
-            spec: Some(parbs_monitor::prelude::invariants()),
+            specs: vec![parbs_monitor::prelude::invariants(), parbs_monitor::prelude::qos()],
         };
         let obs = run_observed(
             quick_cfg(mix.cores()),
@@ -255,24 +239,23 @@ mod tests {
             &opts,
         );
         assert!(!obs.result.timed_out);
-        assert_eq!(obs.violation_count, 0, "{:?}", obs.invariants);
-        assert!(!obs.invariants.is_empty(), "every channel reports");
         let trace = obs.trace.expect("chrome trace requested");
         assert!(trace.starts_with('{') && trace.contains("\"traceEvents\""));
         assert!(trace.contains("batch "), "batch spans present");
         assert!(obs.counters.contains("thread"), "counter summary: {}", obs.counters);
-        assert_eq!(obs.alarm_count, 0, "{:?}", obs.monitors);
-        assert!(!obs.monitors.is_empty(), "every channel reports a monitor");
-        assert!(obs.monitors.iter().all(|m| m.ok));
-        // Each channel's monitor carries the four invariant triggers.
-        assert_eq!(obs.monitors[0].trigger_counts.len(), 4);
+        assert!(obs.monitors.iter().all(|m| m.alarms.is_empty()), "{:?}", obs.monitors);
+        // Every channel reports each spec, in spec order: the four
+        // invariant triggers, then the three QoS ones.
+        let per_channel: Vec<(usize, usize)> =
+            obs.monitors.iter().map(|m| (m.spec, m.trigger_counts.len())).collect();
+        assert_eq!(per_channel, [(0, 4), (1, 3)]);
+        assert_eq!(obs.monitors[0].events, obs.monitors[1].events, "both saw the same stream");
     }
 
     #[test]
     fn jsonl_format_emits_one_object_per_line() {
         let mix = case_study_1();
-        let opts =
-            ObserveOptions { check_invariants: false, trace: Some(TraceFormat::Jsonl), spec: None };
+        let opts = ObserveOptions { trace: Some(TraceFormat::Jsonl), specs: Vec::new() };
         let obs = run_observed(quick_cfg(mix.cores()), &mix, &SchedulerKind::FrFcfs, &opts);
         let trace = obs.trace.expect("jsonl trace requested");
         let mut lines = 0usize;
@@ -281,7 +264,7 @@ mod tests {
             lines += 1;
         }
         assert!(lines > 100, "a real run produces many events, got {lines}");
-        assert!(obs.invariants.is_empty(), "no invariant sinks attached");
+        assert!(obs.monitors.is_empty(), "no monitors attached");
     }
 
     #[test]

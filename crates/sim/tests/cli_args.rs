@@ -100,3 +100,19 @@ fn sweep_count_may_be_omitted_before_flags() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("BLISS") && stdout.contains("ATLAS"), "zoo table lists the zoo");
 }
+
+#[test]
+fn check_invariants_runs_the_invariant_prelude_beside_a_user_spec() {
+    let mix = ["mix", "libquantum,mcf,GemsFDTD,xalancbmk", "--target", "2000"];
+    let run = |extra: &[&str]| {
+        let out = parbs_sim().args(mix).args(extra).output().expect("parbs-sim runs");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let alone = run(&["--check-invariants"]);
+    assert!(alone.contains("invariants: OK (1 channel(s) checked)"), "{alone}");
+    assert!(!alone.contains("monitor: OK"), "{alone}");
+    let both = run(&["--check-invariants", "--spec", "prelude:qos"]);
+    assert!(both.contains("invariants: OK (1 channel(s) checked)"), "{both}");
+    assert!(both.contains("monitor: OK (1 channel(s) monitored)"), "{both}");
+}

@@ -21,8 +21,8 @@ fn sweep_results_identical_at_any_jobs_level() {
     let schedulers = [SchedulerKind::FrFcfs, SchedulerKind::ParBs(Default::default())];
     let scales = [16, 64];
     let flows = quick_flows();
-    let serial = run_flow_sweep(&cfg, &schedulers, &scales, &flows, false, None, 1);
-    let fanned = run_flow_sweep(&cfg, &schedulers, &scales, &flows, false, None, 4);
+    let serial = run_flow_sweep(&cfg, &schedulers, &scales, &flows, &[], 1);
+    let fanned = run_flow_sweep(&cfg, &schedulers, &scales, &flows, &[], 4);
     assert_eq!(serial.len(), fanned.len());
     for (a, b) in serial.iter().zip(&fanned) {
         assert_eq!(a.scheduler, b.scheduler);
@@ -49,7 +49,7 @@ fn ten_thousand_requesters_complete() {
         line_space: 1 << 22,
         seed: 7,
     };
-    let r = run_flow(&cfg, &SchedulerKind::ParBs(Default::default()), &flows, false, None);
+    let r = run_flow(&cfg, &SchedulerKind::ParBs(Default::default()), &flows, &[]);
     assert!(!r.drive.timed_out, "10k flows drain in {} cycles", r.drive.cycles);
     assert_eq!(r.completed, 10_000);
     assert_eq!(r.summary.flows, 10_000);

@@ -71,11 +71,9 @@ fn the_same_spec_judges_model_witnesses_and_simulated_runs() {
     // the same discipline the simulator implements.
     let mix = case_study_1();
     let sim_cfg = SimConfig { target_instructions: 1_500, ..SimConfig::for_cores(mix.cores()) };
-    let opts =
-        ObserveOptions { check_invariants: false, trace: None, spec: Some(prelude::invariants()) };
+    let opts = ObserveOptions { trace: None, specs: vec![prelude::invariants()] };
     let obs = run_observed(sim_cfg, &mix, &SchedulerKind::ParBs(Default::default()), &opts);
-    assert_eq!(obs.alarm_count, 0, "{:?}", obs.monitors);
-    assert!(obs.monitors.iter().all(|m| m.ok));
+    assert!(obs.monitors.iter().all(|m| m.alarms.is_empty()), "{:?}", obs.monitors);
 
     let cfg = LivenessConfig::tiny();
     let report = check_scheduler_liveness("PAR-BS", &cfg).unwrap();

@@ -1,6 +1,6 @@
 //! Tier-1 observability suite: the PAR-BS batching invariants hold on every
-//! shipped mix, and the [`InvariantSink`] actually detects a scheduler that
-//! breaks them.
+//! shipped mix, and the production checker — the `prelude::invariants()`
+//! monitor spec — actually detects a scheduler that breaks them.
 //!
 //! The invariants are checked *from the event stream alone* (Rule 1/2
 //! marked-first service, Marking-Cap, batch exclusivity, Max-Total rank
@@ -8,31 +8,49 @@
 //! scheduler agree about what a batch is — not just that the scheduler's
 //! internal counters are self-consistent.
 
+mod common;
+
+use common::RuleTwoInverted;
 use parbs_dram::{
-    Controller, DramConfig, LineAddr, MemoryScheduler, Request, RequestKind, SchedView, ThreadId,
+    Controller, DramConfig, LineAddr, MemoryScheduler, Request, RequestKind, ThreadId,
 };
-use parbs_obs::{downcast_sink, Event, InvariantRule, InvariantSink};
+use parbs_monitor::{prelude, Monitor};
+use parbs_obs::downcast_sink;
 use parbs_sim::{run_observed, ObserveOptions, SchedulerKind, SimConfig, TraceFormat};
 use parbs_workloads::{case_study_1, case_study_2, case_study_3, random_mixes, MixSpec};
 
 fn assert_clean(mix: &MixSpec, kind: &SchedulerKind, target: u64) {
     let cfg = SimConfig { target_instructions: target, ..SimConfig::for_cores(mix.cores()) };
-    let opts = ObserveOptions { check_invariants: true, trace: None, spec: None };
+    let channels = cfg.dram.channels();
+    let opts = ObserveOptions { trace: None, specs: vec![prelude::invariants()] };
     let obs = run_observed(cfg, mix, kind, &opts);
-    assert_eq!(
-        obs.violation_count,
-        0,
+    assert!(
+        obs.monitors.iter().all(|m| m.ok && m.alarms.is_empty()),
         "{} on '{}' violated batching invariants:\n{}",
         kind.name(),
         mix.name,
-        obs.invariants
-            .iter()
-            .flat_map(|r| r.violations.iter())
-            .cloned()
-            .collect::<Vec<_>>()
-            .join("\n")
+        obs.monitors.iter().flat_map(|m| m.alarms.iter()).cloned().collect::<Vec<_>>().join("\n")
     );
-    assert!(!obs.invariants.is_empty(), "every channel must have been checked");
+    assert_eq!(obs.monitors.len(), channels, "every channel must have been checked");
+}
+
+/// Enqueues `reads` (thread, address), ids in order from 0, on a fresh
+/// controller under the invariant prelude, runs it to drain and returns
+/// the monitor.
+fn drain_checked(scheduler: Box<dyn MemoryScheduler>, reads: &[(usize, LineAddr)]) -> Monitor {
+    let mut ctrl = Controller::new(DramConfig::default(), scheduler);
+    ctrl.set_event_sink(Box::new(prelude::invariants().monitor()));
+    for (id, &(thread, addr)) in (0u64..).zip(reads) {
+        ctrl.try_enqueue(Request::new(id, ThreadId(thread), addr, RequestKind::Read, 0)).unwrap();
+    }
+    let mut now = 0;
+    let done = ctrl.run_to_drain(&mut now, 1_000_000);
+    assert_eq!(done.len(), reads.len());
+    let sink = ctrl.take_event_sink().expect("sink attached above");
+    let Ok(mon) = downcast_sink::<Monitor>(sink) else {
+        panic!("the attached sink is a Monitor");
+    };
+    *mon
 }
 
 #[test]
@@ -67,131 +85,41 @@ fn baselines_are_trivially_clean() {
     }
 }
 
-/// A deliberately broken batching scheduler: it marks every even-id request
-/// (announcing the batch like PAR-BS does) but then *prioritizes unmarked
-/// requests*, inverting Rule 2. The invariant checker must catch the
-/// marked-first violation from the controller's event stream.
-#[derive(Default)]
-struct RuleTwoInverted {
-    observing: bool,
-    events: Vec<Event>,
-}
-
-impl MemoryScheduler for RuleTwoInverted {
-    fn name(&self) -> &str {
-        "broken"
-    }
-
-    fn pre_schedule(&mut self, queue: &mut [Request], view: &SchedView<'_>) -> bool {
-        let announce_at = self.events.len();
-        let mut marked = 0u32;
-        for r in queue.iter_mut() {
-            if !r.marked && r.id.0 % 2 == 0 {
-                r.marked = true;
-                marked += 1;
-                if self.observing {
-                    self.events.push(Event::Marked {
-                        at: view.now,
-                        request: r.id.0,
-                        thread: r.thread.0,
-                        rank: r.addr.bank / view.channel.banks_per_rank(),
-                        bank: r.addr.bank,
-                    });
-                }
-            }
-        }
-        if marked > 0 && self.observing {
-            self.events.insert(
-                announce_at,
-                Event::BatchFormed {
-                    at: view.now,
-                    id: 1,
-                    marked,
-                    cap: None,
-                    exclusive: false,
-                    per_thread: Vec::new(),
-                },
-            );
-        }
-        marked > 0
-    }
-
-    fn priority_key(&self, req: &Request, _view: &SchedView<'_>) -> u128 {
-        // Higher key = served first: unmarked requests win, ties oldest-first.
-        (u128::from(!req.marked) << 64) | u128::from(u64::MAX - req.id.0)
-    }
-
-    fn set_observing(&mut self, enabled: bool) {
-        self.observing = enabled;
-        if !enabled {
-            self.events.clear();
-        }
-    }
-
-    fn drain_events(&mut self, out: &mut Vec<Event>) {
-        out.append(&mut self.events);
-    }
-}
-
 #[test]
 fn invariant_sink_catches_a_rule_two_violation() {
-    let mut ctrl = Controller::new(DramConfig::default(), Box::new(RuleTwoInverted::default()));
-    ctrl.set_event_sink(Box::new(InvariantSink::new()));
     // Two reads to the same (bank, row): id 0 gets marked, id 1 does not,
     // and the broken priority serves id 1 first.
-    for id in 0..2u64 {
-        let addr = LineAddr { channel: 0, bank: 0, row: 5, col: id };
-        ctrl.try_enqueue(Request::new(id, ThreadId(id as usize), addr, RequestKind::Read, 0))
-            .unwrap();
-    }
-    let mut now = 0;
-    let done = ctrl.run_to_drain(&mut now, 1_000_000);
-    assert_eq!(done.len(), 2);
-    let sink = ctrl.take_event_sink().expect("sink attached above");
-    let Ok(sink) = downcast_sink::<InvariantSink>(sink) else {
-        panic!("the attached sink is an InvariantSink");
-    };
+    let reads: Vec<(usize, LineAddr)> =
+        (0..2).map(|id| (id, LineAddr { channel: 0, bank: 0, row: 5, col: id as u64 })).collect();
+    let mon = drain_checked(Box::new(RuleTwoInverted::default()), &reads);
+    assert!(!mon.ok(), "an error-severity trigger fired");
     assert!(
-        sink.violations().iter().any(|v| v.rule == InvariantRule::MarkedFirst),
-        "expected a marked-first violation, got: {:?}",
-        sink.violations()
+        mon.alarms().iter().any(|a| a.name == "marked-first" && a.thread == Some(1)),
+        "expected a marked-first alarm on thread 1, got: {:?}",
+        mon.alarms()
     );
-    let report = sink.violations()[0].to_string();
-    assert!(report.contains("marked-first"), "{report}");
-    assert!(!sink.violations()[0].window.is_empty(), "report carries an event window");
+    let report = mon.alarms()[0].to_string();
+    assert!(report.contains("[error] marked-first"), "{report}");
 }
 
 #[test]
 fn a_well_behaved_parbs_controller_run_stays_clean_at_the_dram_level() {
     use parbs::{ParBsConfig, ParBsScheduler};
-    let mut ctrl = Controller::new(
-        DramConfig::default(),
-        Box::new(ParBsScheduler::new(ParBsConfig::default())),
-    );
-    ctrl.set_event_sink(Box::new(InvariantSink::new()));
     // An adversarial-ish shape: two threads interleaved on the same bank
     // plus a third spread across banks.
-    let mut id = 0u64;
-    for round in 0..6u64 {
-        for (thread, bank, row) in [(0usize, 0usize, 1u64), (1, 0, 2), (2, round as usize % 8, 3)] {
-            let addr = LineAddr { channel: 0, bank, row, col: id };
-            ctrl.try_enqueue(Request::new(id, ThreadId(thread), addr, RequestKind::Read, 0))
-                .unwrap();
-            id += 1;
+    let mut reads = Vec::new();
+    for round in 0..6 {
+        for (thread, bank, row) in [(0, 0, 1), (1, 0, 2), (2, round % 8, 3)] {
+            let col = reads.len() as u64;
+            reads.push((thread, LineAddr { channel: 0, bank, row, col }));
         }
     }
-    let mut now = 0;
-    let done = ctrl.run_to_drain(&mut now, 1_000_000);
-    assert_eq!(done.len(), 18);
-    let sink = ctrl.take_event_sink().expect("sink attached above");
-    let Ok(sink) = downcast_sink::<InvariantSink>(sink) else {
-        panic!("the attached sink is an InvariantSink");
-    };
-    assert!(sink.ok(), "violations: {:?}", sink.violations());
+    let mon = drain_checked(Box::new(ParBsScheduler::new(ParBsConfig::default())), &reads);
+    assert!(mon.ok() && mon.alarms().is_empty(), "alarms: {:?}", mon.alarms());
     assert!(
-        sink.summary().contains("0 violation"),
+        mon.summary().contains("0 alarms"),
         "summary mentions the clean outcome: {}",
-        sink.summary()
+        mon.summary()
     );
 }
 
@@ -201,8 +129,7 @@ fn jsonl_and_chrome_payloads_come_from_the_same_run_shape() {
     // chrome payload is JSON-shaped with per-bank and per-thread tracks.
     let mix = case_study_1();
     let cfg = SimConfig { target_instructions: 800, ..SimConfig::for_cores(mix.cores()) };
-    let opts =
-        ObserveOptions { check_invariants: false, trace: Some(TraceFormat::Chrome), spec: None };
+    let opts = ObserveOptions { trace: Some(TraceFormat::Chrome), specs: Vec::new() };
     let obs = run_observed(cfg, &mix, &SchedulerKind::ParBs(Default::default()), &opts);
     let chrome = obs.trace.expect("chrome payload");
     assert!(chrome.contains("\"bank 0\"") && chrome.contains("\"thread 0\""), "named tracks");
