@@ -46,8 +46,8 @@ fn scheduler_decision(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole comparison: one scheduling decision over an n-entry queue
-/// via the retired full-queue comparator sort vs. a single-pass scan of
+/// The tentpole comparison: a first-try scheduling decision over an n-entry
+/// queue via the retired full-queue comparator sort vs. the top of the
 /// cached priority keys, for every shipped policy at 32/64/128 entries.
 fn sched_hotpath(c: &mut Criterion) {
     use parbs_bench::hotpath;

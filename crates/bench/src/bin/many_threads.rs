@@ -64,8 +64,8 @@ fn main() {
                 hotpath::warmed_sparse(&kind, QUEUE_LEN, population, active);
             let view = SchedView { channel: &channel, now: 100 };
             let mut keys = Vec::new();
-            // One steady-state decision slot: the event-driven
-            // `pre_schedule` pass, a full key refresh, and the max-scan.
+            // One steady-state first-try decision: the event-driven
+            // `pre_schedule` pass, a full key refresh, and the top key.
             let decision_ns = median_ns(samples, iters, || {
                 sched.pre_schedule(black_box(&mut q), &view);
                 hotpath::compute_keys(&*sched, &q, &view, &mut keys);

@@ -1,7 +1,13 @@
 //! Snapshot benchmark of the controller's scheduling hot path: the retired
-//! full-queue comparator sort vs. the cached-priority-key max-scan, per
-//! scheduler, at 32/64/128-entry queues. Emits `BENCH_sched_hotpath.json`
-//! in the working directory.
+//! full-queue comparator sort vs. a first-try keyed decision (the top of
+//! the cached priority keys), per scheduler, at 32/64/128-entry queues.
+//! Emits `BENCH_sched_hotpath.json` in the working directory.
+//!
+//! It times one selection over a prepared queue, not a controller slot: a
+//! slot also walks past requests whose commands are not ready, samples
+//! BLP, runs `pre_schedule` and checks refresh and write drain. These
+//! numbers do not predict the slot cost; the end-to-end benchmark's
+//! `dram.ns_per_slot` measures it.
 //!
 //! Run with: `cargo run --release -p parbs-bench --bin sched_hotpath`
 //! (`--quick` shrinks the sample count for CI).

@@ -193,10 +193,13 @@ pub fn print_unfairness_by_workload(title: &str, rows: &[SweepRow], samples: usi
     println!("\n");
 }
 
-/// Harness for the scheduling hot-path comparison: the cost of one
-/// controller decision slot over an n-entry read queue, measured as the
-/// retired full-queue comparator sort versus a single-pass scan of cached
-/// priority keys (what `Controller::try_issue` now does).
+/// Harness for the scheduling hot-path comparison over an n-entry read
+/// queue: the retired full-queue comparator sort versus finding the top of
+/// the cached priority keys. Both time a first-try decision only, the pick
+/// of the highest-priority request. A controller slot also walks past
+/// requests that are not ready, samples BLP, runs `pre_schedule` and
+/// checks refresh and write drain, so these numbers do not predict the
+/// slot cost; the end-to-end benchmark's `dram.ns_per_slot` measures it.
 pub mod hotpath {
     use parbs_dram::{
         Channel, LineAddr, MemoryScheduler, Request, RequestKind, SchedView, ThreadId, TimingParams,
@@ -269,7 +272,9 @@ pub mod hotpath {
         keys.extend(q.iter().map(|r| sched.priority_key(r, view)));
     }
 
-    /// One decision via the hot path: a single max-scan over cached keys.
+    /// A first-try keyed decision: the index of the largest cached key, the
+    /// request the controller's sorted walk tries first. It stands in for
+    /// the walk's first step only; it is not the walk.
     #[must_use]
     pub fn decide_by_key_scan(keys: &[u128]) -> usize {
         let mut best = 0;

@@ -111,44 +111,63 @@ impl Channel {
         }
     }
 
-    /// True if `cmd` can legally issue at cycle `now` (all per-bank,
-    /// per-rank and channel-level constraints satisfied, data bus available
-    /// for column commands).
+    /// True if `cmd` can legally issue at cycle `now`: it is structurally
+    /// valid for the bank's row-buffer state and every timing rule of its
+    /// kind has elapsed ([`Channel::earliest_issue`]).
     #[must_use]
     pub fn can_issue(&self, cmd: &Command, now: u64) -> bool {
-        let rank = self.cmd_rank(cmd);
-        if now < self.refresh_until[rank] {
-            return false;
-        }
-        if cmd.kind == CommandKind::Refresh {
-            // Refresh needs a quiet data bus; it force-precharges the rank.
-            return now >= self.data_bus_free_at;
-        }
-        let bank = &self.banks[cmd.bank];
-        if now < bank.earliest_issue(cmd.kind) {
-            return false;
-        }
+        self.is_valid(cmd) && now >= self.earliest_issue(cmd)
+    }
+
+    /// Whether `cmd` fits the bank's row-buffer state, independent of time:
+    /// an activate needs a closed bank, a precharge an open one, a column
+    /// command its row open. Refresh force-closes the rank, so it always
+    /// fits.
+    fn is_valid(&self, cmd: &Command) -> bool {
+        let bank = || &self.banks[cmd.bank];
         match cmd.kind {
-            CommandKind::Activate => {
-                now >= self.earliest_activate[rank]
-                    && bank.open_row().is_none()
-                    && self.faw_allows(rank, now)
-            }
-            CommandKind::Read | CommandKind::Write => {
-                if now < self.earliest_column || !bank.is_row_hit(cmd.row) {
-                    return false;
-                }
-                let start = now
-                    + if cmd.kind == CommandKind::Write {
-                        self.timing.t_cwl
-                    } else {
-                        self.timing.t_cl
-                    };
-                start >= self.data_bus_free_at + self.rank_switch_penalty(rank)
-            }
-            CommandKind::Precharge => bank.open_row().is_some(),
-            CommandKind::Refresh => unreachable!("handled above"),
+            CommandKind::Activate => bank().open_row().is_none(),
+            CommandKind::Read | CommandKind::Write => bank().is_row_hit(cmd.row),
+            CommandKind::Precharge => bank().open_row().is_some(),
+            CommandKind::Refresh => true,
         }
+    }
+
+    /// The first cycle at which the timing rules of `cmd`'s kind allow it,
+    /// ignoring whether it fits the row-buffer state: the rank's refresh
+    /// blackout; for refresh a quiet data bus; for activate the bank's
+    /// window, tRRD and tFAW; for precharge the bank's window; for column
+    /// commands the bank's window, the channel-wide column gap (tCCD,
+    /// tWTR) and a free data bus including the rank-switch penalty.
+    ///
+    /// Every rule is a threshold that only issued commands move, so a
+    /// structurally valid command is issuable at every cycle from this one
+    /// on until the channel state changes.
+    #[must_use]
+    pub fn earliest_issue(&self, cmd: &Command) -> u64 {
+        let rank = self.cmd_rank(cmd);
+        let rule = match cmd.kind {
+            // Refresh needs a quiet data bus; it force-precharges the rank.
+            CommandKind::Refresh => self.data_bus_free_at,
+            CommandKind::Activate => self.banks[cmd.bank]
+                .earliest_issue(cmd.kind)
+                .max(self.earliest_activate[rank])
+                .max(self.faw_free_at(rank)),
+            CommandKind::Read | CommandKind::Write => {
+                let latency = if cmd.kind == CommandKind::Write {
+                    self.timing.t_cwl
+                } else {
+                    self.timing.t_cl
+                };
+                // Data starts `latency` after the command and must not
+                // start before the bus (plus any rank switch) is free.
+                let bus = (self.data_bus_free_at + self.rank_switch_penalty(rank))
+                    .saturating_sub(latency);
+                self.banks[cmd.bank].earliest_issue(cmd.kind).max(self.earliest_column).max(bus)
+            }
+            CommandKind::Precharge => self.banks[cmd.bank].earliest_issue(cmd.kind),
+        };
+        rule.max(self.refresh_until[rank])
     }
 
     /// Extra data-bus gap before `rank` may drive data: `t_rtrs` when the
@@ -210,14 +229,17 @@ impl Channel {
         }
     }
 
-    /// True if another activate fits into `rank`'s four-activate window at
-    /// `now`: an activate at `t` occupies the window until `t + t_faw`.
-    fn faw_allows(&self, rank: usize, now: u64) -> bool {
+    /// First cycle at which another activate fits into `rank`'s
+    /// four-activate window: an activate at `t` occupies the window until
+    /// `t + t_faw`, so the window admits a new one once its fourth most
+    /// recent activate has left it.
+    fn faw_free_at(&self, rank: usize) -> u64 {
         if self.timing.t_faw == 0 {
-            return true;
+            return 0;
         }
-        let faw = self.timing.t_faw;
-        self.recent_activates[rank].iter().filter(|&&t| t + faw > now).count() < 4
+        // Activates are recorded in issue order, oldest first.
+        let recent = &self.recent_activates[rank];
+        recent.len().checked_sub(4).map_or(0, |fourth| recent[fourth] + self.timing.t_faw)
     }
 
     /// Begins an all-bank refresh of `rank` at `now`: every bank of the rank

@@ -87,10 +87,21 @@ pub struct Controller {
     /// `read_keys_dirty` is false (see the key-caching contract on
     /// [`MemoryScheduler`]). Larger key = serviced first.
     read_keys: Vec<u128>,
+    /// Indices into `reads` in descending `read_keys` order, valid together
+    /// with `read_keys`: the order the keyed selection walks.
+    read_order: Vec<usize>,
     /// Set on any event that can change read priorities (arrival,
     /// bank-state-changing command, `pre_schedule` reporting a change,
     /// external scheduler mutation); cleared by recomputing `read_keys`.
     read_keys_dirty: bool,
+    /// No keyed walk can issue a command before this cycle: the minimum
+    /// [`crate::Channel::earliest_issue`] over the commands the queued
+    /// requests need, stored when a walk fails. Slots before it skip the
+    /// walk. Reset to 0 by every event that can change what is issuable:
+    /// an enqueue, an issued command or refresh, `pre_schedule` reporting a
+    /// change, a write-drain flip, `scheduler_mut`, `set_comparator_path`
+    /// and `restore_state`.
+    idle_until: u64,
     /// Test shim: route scheduling decisions through the O(n log n)
     /// comparator sort instead of cached keys.
     comparator_path: bool,
@@ -100,8 +111,9 @@ pub struct Controller {
     refresh_gating: bool,
     /// Reusable buffer for inline write-side FR-FCFS keys.
     write_keys: Vec<u128>,
-    /// Reusable selection scratch: requests already tried this decision.
-    tried: Vec<bool>,
+    /// Reusable buffer: indices into `writes` in descending `write_keys`
+    /// order.
+    write_order: Vec<usize>,
     /// Reusable per-thread bank bitmasks for [`Controller::sample_blp`].
     blp_masks: Vec<u64>,
     /// Threads with a non-zero mask in `blp_masks`, in first-touch order.
@@ -149,11 +161,13 @@ impl Controller {
             sched_buf: Vec::new(),
             last_bus_sample: (0, 0),
             read_keys: Vec::new(),
+            read_order: Vec::new(),
             read_keys_dirty: true,
+            idle_until: 0,
             comparator_path: false,
             refresh_gating: true,
             write_keys: Vec::new(),
-            tried: Vec::new(),
+            write_order: Vec::new(),
             blp_masks: Vec::new(),
             blp_touched: Vec::new(),
             config,
@@ -180,21 +194,28 @@ impl Controller {
     }
 
     /// Mutable access to the scheduling policy (to configure weights etc.).
-    /// Conservatively invalidates the cached priority keys, since the caller
-    /// may mutate priority-relevant state.
+    /// Conservatively invalidates the cached priority keys and the idle
+    /// bound, since the caller may mutate priority-relevant state.
     pub fn scheduler_mut(&mut self) -> &mut dyn MemoryScheduler {
-        self.read_keys_dirty = true;
+        self.invalidate_keys();
         &mut *self.scheduler
     }
 
     /// Test/verification shim: when enabled, scheduling decisions run
     /// through the original full-queue comparator sort
-    /// ([`MemoryScheduler::compare`]) instead of cached priority keys. Both
-    /// paths must produce identical command streams; the keyed path is the
-    /// default because it avoids the per-cycle O(n log n) sort.
+    /// ([`MemoryScheduler::compare`]) on every slot instead of cached
+    /// priority keys, and never skip a slot. Both paths must produce
+    /// identical command streams; the keyed path is the default because it
+    /// avoids the per-slot O(n log n) sort.
     pub fn set_comparator_path(&mut self, enabled: bool) {
         self.comparator_path = enabled;
+        self.invalidate_keys();
+    }
+
+    /// Marks the cached read keys stale and drops the idle bound.
+    fn invalidate_keys(&mut self) {
         self.read_keys_dirty = true;
+        self.idle_until = 0;
     }
 
     /// Fault-injection shim for the refresh model checker: when disabled,
@@ -290,7 +311,7 @@ impl Controller {
                     });
                 }
                 self.reads.push(req);
-                self.read_keys_dirty = true;
+                self.invalidate_keys();
             }
             RequestKind::Write => {
                 if !self.can_accept_write() {
@@ -309,6 +330,7 @@ impl Controller {
                     });
                 }
                 self.writes.push(req);
+                self.idle_until = 0;
             }
         }
         Ok(())
@@ -371,9 +393,13 @@ impl Controller {
     /// Forwards per-thread memory-stall feedback to the scheduler (used by
     /// STFM). `stall_cycles[t]` is thread `t`'s stall-cycle increment since
     /// the last call.
+    ///
+    /// The report does not invalidate the cached priority keys: a policy
+    /// whose keys depend on stall feedback reports the change from its next
+    /// `pre_schedule`, as the key-caching contract on [`MemoryScheduler`]
+    /// requires.
     pub fn report_stall_cycles(&mut self, stall_cycles: &[u64], now: u64) {
         self.scheduler.on_stall_cycles(stall_cycles, now);
-        self.read_keys_dirty = true;
     }
 
     /// Advances the controller to processor cycle `now`.
@@ -381,7 +407,11 @@ impl Controller {
     /// Completions whose data (plus front-end latency) has arrived by `now`
     /// are appended to `out`. A scheduling decision — at most one DRAM
     /// command on the channel's command bus — is made on DRAM-cycle
-    /// boundaries (`now % DRAM_CYCLE == 0`).
+    /// boundaries (`now % DRAM_CYCLE == 0`). A slot before the idle bound
+    /// (see [`Controller::set_comparator_path`] for the path that never
+    /// skips) still samples BLP, runs `pre_schedule`, refresh and the drain
+    /// check and emits their events; it only skips the selection walk,
+    /// which could not issue anything.
     pub fn tick(&mut self, now: u64, out: &mut Vec<Completion>) {
         // Deliver finished requests.
         let mut i = 0;
@@ -413,7 +443,7 @@ impl Controller {
         {
             let view = SchedView { channel: &self.channel, now };
             if self.scheduler.pre_schedule(&mut self.reads, &view) {
-                self.read_keys_dirty = true;
+                self.invalidate_keys();
             }
         }
         self.flush_scheduler_events();
@@ -458,7 +488,7 @@ impl Controller {
                     );
                     self.last_refresh[rank] = now;
                     // Refresh closes the rank's rows: row-hit bits changed.
-                    self.read_keys_dirty = true;
+                    self.invalidate_keys();
                 }
                 return;
             }
@@ -474,13 +504,22 @@ impl Controller {
         } else if (self.writes.len() as f64) <= low {
             self.draining = false;
         }
-        if self.draining != was_draining && self.observing() {
-            self.emit(&Event::WriteDrain {
-                at: now,
-                start: self.draining,
-                queued: self.writes.len() as u32,
-            });
+        if self.draining != was_draining {
+            // The drain mode decides which queues the slot walks.
+            self.idle_until = 0;
+            if self.observing() {
+                self.emit(&Event::WriteDrain {
+                    at: now,
+                    start: self.draining,
+                    queued: self.writes.len() as u32,
+                });
+            }
         }
+        if !self.comparator_path && now < self.idle_until {
+            return;
+        }
+        // Failed walks below lower the bound; an issued command resets it.
+        self.idle_until = u64::MAX;
         let drain = self.draining || (self.reads.is_empty() && !self.writes.is_empty());
         if drain {
             if !self.try_issue(RequestKind::Write, now) {
@@ -553,8 +592,8 @@ impl Controller {
     /// Attempts to issue one command for the given queue side. Returns true
     /// if a command was placed on the command bus.
     ///
-    /// The hot path walks the queue in descending cached-priority-key order
-    /// via repeated max-selection — no per-cycle sort, no virtual dispatch
+    /// The hot path walks the queue in descending cached-priority-key order,
+    /// sorted once per dirty epoch — no per-slot sort, no virtual dispatch
     /// per comparison. The retired comparator sort is kept behind
     /// [`Controller::set_comparator_path`] as the reference implementation;
     /// both paths must make identical decisions (priority keys and
@@ -576,13 +615,23 @@ impl Controller {
         true
     }
 
-    /// Recomputes the cached read priority keys from the scheduler.
+    /// Recomputes the cached read priority keys from the scheduler, and the
+    /// walk order over them.
     fn refresh_read_keys(&mut self, now: u64) {
-        let Controller { read_keys, reads, scheduler, channel, .. } = self;
+        let Controller { read_keys, read_order, reads, scheduler, channel, .. } = self;
         let view = SchedView { channel, now };
         read_keys.clear();
         read_keys.extend(reads.iter().map(|r| scheduler.priority_key(r, &view)));
+        Self::sort_descending(read_keys, read_order);
         self.read_keys_dirty = false;
+    }
+
+    /// Fills `order` with the indices of `keys` from largest key to
+    /// smallest. Keys are injective, so the order has no ties.
+    fn sort_descending(keys: &[u128], order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(0..keys.len());
+        order.sort_unstable_by(|&a, &b| keys[b].cmp(&keys[a]));
     }
 
     /// The write-side FR-FCFS key (row hit first, then oldest), packed the
@@ -607,23 +656,39 @@ impl Controller {
         protected
     }
 
-    /// Whether `req`'s next command can issue right now given the banks
+    /// `req`'s next command if it can issue right now given the banks
     /// protected by higher-priority requests; updates `protected_banks` for
-    /// the requests walked after it.
+    /// the requests walked after it. Otherwise the command's
+    /// [`crate::Channel::earliest_issue`], a lower bound on when it can.
     fn ready_command(
         &self,
         req: &Request,
         is_write: bool,
         now: u64,
         protected_banks: &mut u64,
-    ) -> Option<Command> {
+    ) -> Result<Command, u64> {
         let bank = req.addr.bank;
         let needed = self.channel.bank(bank).needed_command(req.addr.row, is_write);
+        let row = match needed {
+            CommandKind::Precharge => self.channel.bank(bank).open_row().unwrap_or(0),
+            _ => req.addr.row,
+        };
+        let cmd = Command {
+            kind: needed,
+            rank: self.channel.rank_of(bank),
+            bank,
+            row,
+            col: req.addr.col,
+            request: req.id,
+        };
+        // `needed_command` fits the bank's row-buffer state, so the timing
+        // rules alone decide whether the command is ready.
+        let earliest = self.channel.earliest_issue(&cmd);
         if needed.is_column() {
             *protected_banks |= 1 << bank;
         } else if needed == CommandKind::Precharge {
             if *protected_banks & (1 << bank) != 0 {
-                return None;
+                return Err(earliest);
             }
             // Open-page grace: a recently accessed row is speculatively
             // held open in anticipation of further hits, bounded by a
@@ -638,72 +703,55 @@ impl Controller {
                 && now < b.last_column_at() + grace
                 && now < b.last_activate_at() + 3 * grace
             {
-                return None;
+                return Err(earliest);
             }
         }
-        let row = match needed {
-            CommandKind::Precharge => self.channel.bank(bank).open_row().unwrap_or(0),
-            _ => req.addr.row,
-        };
-        let cmd = Command {
-            kind: needed,
-            rank: self.channel.rank_of(bank),
-            bank,
-            row,
-            col: req.addr.col,
-            request: req.id,
-        };
-        self.channel.can_issue(&cmd, now).then_some(cmd)
+        if now >= earliest {
+            Ok(cmd)
+        } else {
+            Err(earliest)
+        }
     }
 
-    /// Keyed selection: repeatedly pick the highest-keyed untried request
-    /// and stop at the first whose command is ready. Read keys come from the
-    /// event-maintained cache; write keys are computed inline (the write
-    /// queue's FR-FCFS keys depend only on bank state, and writes drain in
-    /// rare bursts).
+    /// Keyed selection: walk the requests in descending key order and stop
+    /// at the first whose command is ready. Read keys and their order come
+    /// from the event-maintained cache; write keys are computed and sorted
+    /// inline (the write queue's FR-FCFS keys depend only on bank state, and
+    /// writes drain in rare bursts). A walk that finds nothing lowers the
+    /// idle bound to the earliest cycle any walked command could issue.
     fn select_by_key(&mut self, is_write: bool, now: u64) -> Option<(usize, Command)> {
         if is_write {
-            let Controller { write_keys, writes, channel, .. } = self;
+            let Controller { write_keys, write_order, writes, channel, .. } = self;
             let view = SchedView { channel, now };
             write_keys.clear();
             write_keys.extend(writes.iter().map(|r| Self::write_key(view.is_row_hit(r), r.id.0)));
+            Self::sort_descending(write_keys, write_order);
         } else if self.read_keys_dirty {
             self.refresh_read_keys(now);
         }
-        let mut tried = std::mem::take(&mut self.tried);
-        let queue = if is_write { &self.writes } else { &self.reads };
-        let keys = if is_write { &self.write_keys } else { &self.read_keys };
+        let (queue, keys, order) = if is_write {
+            (&self.writes, &self.write_keys, &self.write_order)
+        } else {
+            (&self.reads, &self.read_keys, &self.read_order)
+        };
         // Always-on (not debug_assert): a key cache that drifted out of
         // alignment with its queue silently scrambles priorities — the
         // exact failure class the key-caching contract exists to prevent.
-        assert_eq!(
-            keys.len(),
-            queue.len(),
+        assert!(
+            keys.len() == queue.len() && order.len() == queue.len(),
             "priority-key cache out of sync with the {} queue",
             if is_write { "write" } else { "read" }
         );
-        tried.clear();
-        tried.resize(queue.len(), false);
         let mut protected_banks = self.initial_protected_banks(is_write);
-        let mut decision = None;
-        let mut remaining = queue.len();
-        while remaining > 0 {
-            let mut best: Option<(usize, u128)> = None;
-            for (i, &k) in keys.iter().enumerate() {
-                if !tried[i] && best.is_none_or(|(_, bk)| k > bk) {
-                    best = Some((i, k));
-                }
-            }
-            let (i, _) = best.expect("remaining > 0 guarantees an untried request");
-            tried[i] = true;
-            remaining -= 1;
-            if let Some(cmd) = self.ready_command(&queue[i], is_write, now, &mut protected_banks) {
-                decision = Some((i, cmd));
-                break;
+        let mut earliest = u64::MAX;
+        for &i in order {
+            match self.ready_command(&queue[i], is_write, now, &mut protected_banks) {
+                Ok(cmd) => return Some((i, cmd)),
+                Err(at) => earliest = earliest.min(at),
             }
         }
-        self.tried = tried;
-        decision
+        self.idle_until = self.idle_until.min(earliest);
+        None
     }
 
     /// Reference selection: full-queue comparator sort (scheduler-defined
@@ -727,7 +775,7 @@ impl Controller {
         }
         let mut protected_banks = self.initial_protected_banks(is_write);
         for &i in &order {
-            if let Some(cmd) = self.ready_command(&queue[i], is_write, now, &mut protected_banks) {
+            if let Ok(cmd) = self.ready_command(&queue[i], is_write, now, &mut protected_banks) {
                 return Some((i, cmd));
             }
         }
@@ -776,6 +824,8 @@ impl Controller {
         }
         self.scheduler.on_command(&cmd, &req, now);
         self.stats.commands_issued += 1;
+        // Any issued command moves the channel's timing windows.
+        self.idle_until = 0;
         // Activate/precharge change a bank's open row, which feeds every
         // row-hit-aware priority key; invalidate the read-key cache.
         // Column commands leave bank state untouched (any priority change
@@ -811,9 +861,20 @@ impl Controller {
                 self.scheduler.on_complete(&req, now);
                 self.reads.swap_remove(i);
                 // Mirror the removal in the parallel key cache so clean keys
-                // stay index-aligned with `reads`.
+                // stay index-aligned with `reads`: drop `i` from the walk
+                // order and rename the moved last index to `i`.
                 if !self.read_keys_dirty {
                     self.read_keys.swap_remove(i);
+                    let moved = self.read_keys.len();
+                    self.read_order.retain_mut(|j| {
+                        if *j == i {
+                            return false;
+                        }
+                        if *j == moved {
+                            *j = i;
+                        }
+                        true
+                    });
                 }
                 self.stats.reads_completed += 1;
                 self.stats.record_read_latency(finish - req.arrival, req.thread);
@@ -856,8 +917,9 @@ impl Controller {
     /// Serializes the controller's mutable state: both request buffers,
     /// in-flight completions, statistics, write-drain hysteresis, refresh
     /// bookkeeping, channel timing windows and the scheduling policy's
-    /// internal state. Scratch caches (priority keys, selection buffers) are
-    /// excluded — they are rebuilt on demand after restore.
+    /// internal state. Scratch caches (priority keys and their walk order,
+    /// the idle bound, selection buffers) are excluded — they are rebuilt
+    /// on demand after restore.
     ///
     /// # Errors
     ///
@@ -886,7 +948,8 @@ impl Controller {
 
     /// Restores state captured by [`Controller::save_state`] into a
     /// controller built with the same configuration and scheduler kind. The
-    /// cached priority keys are invalidated, not restored: the first
+    /// cached priority keys, their walk order and the idle bound are
+    /// invalidated, not restored: the first
     /// scheduling slot after resume recomputes them from the restored
     /// scheduler state, so the command stream continues bit-for-bit.
     ///
@@ -921,7 +984,7 @@ impl Controller {
         self.last_refresh = last_refresh;
         self.channel.restore_state(r)?;
         self.scheduler.restore_state(r)?;
-        self.read_keys_dirty = true;
+        self.invalidate_keys();
         Ok(())
     }
 }
@@ -1126,6 +1189,156 @@ mod tests {
         assert_eq!(done.len(), 32);
         assert_eq!(ctrl.channel().rank_count(), 2);
         assert_eq!(ctrl.stats().reads_completed, 32);
+    }
+
+    /// Row hits first, then oldest: an FR-FCFS-shaped order whose keys
+    /// change when rows open and close.
+    struct HitFirst;
+
+    impl MemoryScheduler for HitFirst {
+        fn name(&self) -> &str {
+            "hit-first"
+        }
+
+        fn priority_key(&self, req: &Request, view: &SchedView<'_>) -> u128 {
+            (u128::from(view.is_row_hit(req)) << 64) | u128::from(u64::MAX - req.id.0)
+        }
+    }
+
+    #[test]
+    fn read_order_stays_sorted_and_aligned_across_completions() {
+        let mut ctrl = Controller::with_checker(DramConfig::default(), Box::new(HitFirst));
+        // Row-hit runs on four banks, so reads complete on the clean path.
+        for id in 0..48 {
+            let bank = (id % 4) as usize;
+            ctrl.try_enqueue(read(id, bank, bank, id / 16, id % 32, 0)).unwrap();
+        }
+        let mut out = Vec::new();
+        let mut clean_completions = 0;
+        let mut now = 0;
+        while ctrl.stats().reads_completed < 48 {
+            let (done, clean) = (ctrl.stats().reads_completed, !ctrl.read_keys_dirty);
+            ctrl.tick(now, &mut out);
+            if clean && !ctrl.read_keys_dirty && ctrl.stats().reads_completed > done {
+                clean_completions += 1;
+            }
+            if !ctrl.read_keys_dirty {
+                let view = SchedView { channel: &ctrl.channel, now };
+                let fresh: Vec<u128> =
+                    ctrl.reads.iter().map(|r| ctrl.scheduler.priority_key(r, &view)).collect();
+                assert_eq!(ctrl.read_keys, fresh, "cached keys drifted at {now}");
+                let mut seen = ctrl.read_order.clone();
+                seen.sort_unstable();
+                assert!(seen.iter().copied().eq(0..ctrl.reads.len()), "order not a permutation");
+                assert!(
+                    ctrl.read_order.windows(2).all(|w| ctrl.read_keys[w[0]] > ctrl.read_keys[w[1]]),
+                    "walk order not descending at {now}"
+                );
+            }
+            now += 1;
+        }
+        assert!(clean_completions >= 8, "only {clean_completions} clean-path completions");
+    }
+
+    /// Drives a keyed and a comparator-path controller in lockstep up to
+    /// cycle `until`, calling `script(now, ctrl)` on each before its tick,
+    /// and asserts their event streams are identical. Returns
+    /// `(now, idle_until)` of the keyed controller at every cycle the script
+    /// flags, taken before the script acts, and the shared event stream.
+    fn lockstep(
+        cfg: &DramConfig,
+        until: u64,
+        script: impl Fn(u64, &mut Controller) -> bool,
+    ) -> (Vec<(u64, u64)>, Vec<Event>) {
+        use parbs_obs::CollectSink;
+        let mut keyed = Controller::with_checker(cfg.clone(), Box::new(HitFirst));
+        let mut comparator = Controller::with_checker(cfg.clone(), Box::new(HitFirst));
+        comparator.set_comparator_path(true);
+        keyed.set_event_sink(Box::new(CollectSink::new()));
+        comparator.set_event_sink(Box::new(CollectSink::new()));
+        let mut flagged = Vec::new();
+        let mut out = Vec::new();
+        for now in 0..until {
+            let idle_until = keyed.idle_until;
+            if script(now, &mut keyed) {
+                flagged.push((now, idle_until));
+            }
+            script(now, &mut comparator);
+            keyed.tick(now, &mut out);
+            comparator.tick(now, &mut out);
+        }
+        let events = |mut c: Controller| {
+            let sink = c.take_event_sink().expect("sink attached above");
+            let Ok(collect) = parbs_obs::downcast_sink::<CollectSink>(sink) else {
+                panic!("sink is the CollectSink we attached");
+            };
+            collect.into_events()
+        };
+        let (k, c) = (events(keyed), events(comparator));
+        assert!(k.iter().any(|e| e.name() == "command_issued"), "the script issued nothing");
+        assert_eq!(k, c, "keyed and comparator event streams differ");
+        (flagged, k)
+    }
+
+    #[test]
+    fn arrival_inside_a_skip_window_is_served_on_the_comparator_cycle() {
+        // ACT at 0; the read then waits for tRCD (60), so the walk at 10
+        // fails and the keyed path skips slots until 60. A read to another
+        // bank arrives at 20 and must activate at tRRD (30) on both paths.
+        let (flagged, events) = lockstep(&DramConfig::default(), 2_000, |now, c| {
+            match now {
+                0 => c.try_enqueue(read(0, 0, 0, 1, 0, now)).unwrap(),
+                20 => c.try_enqueue(read(1, 1, 1, 1, 0, now)).unwrap(),
+                _ => {}
+            }
+            now == 20
+        });
+        assert_eq!(flagged, [(20, 60)]);
+        assert!(events.iter().any(|e| matches!(
+            e,
+            Event::CommandIssued { at: 30, request: 1, kind: parbs_obs::CmdKind::Activate, .. }
+        )));
+    }
+
+    #[test]
+    fn refresh_due_inside_a_skip_window_issues_on_the_comparator_cycle() {
+        // The refresh deadline (tREFI after boot) falls 20 cycles after an
+        // ACT whose read is still tRCD-blocked; the walk 10 cycles after the
+        // ACT failed and set the skip window.
+        let cfg = DramConfig::default();
+        let due = cfg.timing.t_refi;
+        let (flagged, events) = lockstep(&cfg, due + 2_000, |now, c| {
+            if now == due - 20 {
+                c.try_enqueue(read(0, 0, 0, 1, 0, now)).unwrap();
+            }
+            now == due
+        });
+        assert_eq!(flagged, [(due, due - 20 + cfg.timing.t_rcd)]);
+        assert!(events.contains(&Event::Refresh { at: due, rank: 0 }));
+    }
+
+    #[test]
+    fn drain_flip_inside_a_skip_window_drains_on_the_comparator_cycle() {
+        // Enough writes to cross the drain watermark arrive while the read
+        // side waits out tRCD; the drain must start on the same slot.
+        let cfg = DramConfig::default();
+        let high = (cfg.write_drain_watermark * cfg.write_buffer_cap as f64).ceil() as u64;
+        let (flagged, events) = lockstep(&cfg, 20_000, |now, c| {
+            if now == 0 {
+                c.try_enqueue(read(0, 0, 0, 1, 0, now)).unwrap();
+            }
+            if now == 20 {
+                for id in 1..=high {
+                    let bank = 2 + (id % 2) as usize;
+                    let addr = LineAddr { channel: 0, bank, row: 3, col: id };
+                    c.try_enqueue(Request::new(id, ThreadId(1), addr, RequestKind::Write, now))
+                        .unwrap();
+                }
+            }
+            now == 20
+        });
+        assert_eq!(flagged, [(20, 60)]);
+        assert!(events.iter().any(|e| matches!(e, Event::WriteDrain { at: 20, start: true, .. })));
     }
 
     #[test]

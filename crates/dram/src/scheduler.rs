@@ -58,13 +58,14 @@ impl SchedView<'_> {
 ///
 /// The controller recomputes cached keys only on events: a request arrival,
 /// a bank-state-changing command (activate, precharge, refresh), external
-/// scheduler mutation, and whenever `pre_schedule` returns `true`. A policy
-/// whose priorities can change for any *other* reason — the passage of time
-/// (e.g. a row-capture window expiring) or state mutated in
-/// [`MemoryScheduler::on_command`] / [`MemoryScheduler::on_complete`] that
-/// feeds `priority_key` — MUST detect that change in its next
-/// `pre_schedule` call and return `true` there, or the controller will keep
-/// scheduling on stale keys.
+/// scheduler mutation, and whenever `pre_schedule` returns `true`. Stall
+/// reports ([`MemoryScheduler::on_stall_cycles`]) do **not** invalidate the
+/// keys. A policy whose priorities can change for any *other* reason — the
+/// passage of time (e.g. a row-capture window expiring), stall feedback, or
+/// state mutated in [`MemoryScheduler::on_command`] /
+/// [`MemoryScheduler::on_complete`] that feeds `priority_key` — MUST detect
+/// that change in its next `pre_schedule` call and return `true` there, or
+/// the controller will keep scheduling on stale keys.
 ///
 /// The controller never reorders writes through this trait; reads are
 /// prioritized over writes and writes drain in FR-FCFS order (Section 7.2).
@@ -146,6 +147,11 @@ pub trait MemoryScheduler {
     /// Feedback from the cores: `stall_cycles[t]` processor cycles of
     /// memory-related stall accrued by thread `t` since the previous call.
     /// Used by stall-time-based policies (STFM); default is to ignore it.
+    ///
+    /// A report does not invalidate the controller's cached priority keys.
+    /// If it can change a key, the policy must say so from its next
+    /// [`MemoryScheduler::pre_schedule`] (STFM recomputes its fairness-mode
+    /// thread there and returns `true` when it switches).
     fn on_stall_cycles(&mut self, stall_cycles: &[u64], now: u64) {
         let _ = (stall_cycles, now);
     }

@@ -5,8 +5,9 @@
 use std::cmp::Ordering;
 
 use parbs_dram::{
-    Controller, DramConfig, FcfsScheduler, MemoryScheduler, Request, RequestKind, SchedView,
-    ThreadId,
+    Channel, Command, CommandKind, Controller, DramConfig, FcfsScheduler, MemoryScheduler,
+    ProtocolChecker, Request, RequestId, RequestKind, SchedView, ThreadId, TimingParams,
+    DRAM_CYCLE,
 };
 use proptest::prelude::*;
 
@@ -103,8 +104,81 @@ fn run_stream(specs: &[ReqSpec], scheduler: Box<dyn MemoryScheduler>) -> (usize,
     (reads, writes)
 }
 
+/// Every command that fits `ch`'s row-buffer state right now: per bank an
+/// activate of one of four rows (closed bank) or a precharge plus a read and
+/// a write of the open row (open bank), and a refresh of every rank.
+fn valid_commands(ch: &Channel) -> Vec<Command> {
+    let mut out = Vec::new();
+    for bank in 0..ch.bank_count() {
+        let rank = ch.rank_of(bank);
+        let cmd = |kind, row| Command { kind, rank, bank, row, col: 0, request: RequestId(0) };
+        match ch.bank(bank).open_row() {
+            None => out.extend((0..4).map(|row| cmd(CommandKind::Activate, row))),
+            Some(row) => out.extend(
+                [CommandKind::Precharge, CommandKind::Read, CommandKind::Write]
+                    .map(|kind| cmd(kind, row)),
+            ),
+        }
+    }
+    out.extend((0..ch.rank_count()).map(|rank| Command::refresh(rank, RequestId(u64::MAX))));
+    out
+}
+
+/// Replays a random legal command history on a `ranks`-rank channel: each
+/// step picks one structurally valid command and issues it on the first
+/// free command-clock edge at or after its earliest issue cycle, plus a
+/// random delay. Before every step, each valid command must be blocked at
+/// every cycle from the last issue up to its `earliest_issue`, issuable at
+/// it, and — on command-clock edges — rejected and then accepted at the
+/// same cycles by the independent rule-table [`ProtocolChecker`].
+fn check_earliest_issue(ranks: usize, steps: &[(u16, u8)]) -> Result<(), TestCaseError> {
+    let timing = TimingParams::ddr2_800();
+    let mut ch = Channel::with_ranks(ranks, 4, timing);
+    let mut checker = ProtocolChecker::with_ranks(ranks, 4, timing);
+    // The first command-clock edge free for the next command.
+    let mut next_slot = 0u64;
+    for &(choice, delay) in steps {
+        let candidates = valid_commands(&ch);
+        for cmd in &candidates {
+            let earliest = ch.earliest_issue(cmd);
+            prop_assert!(ch.can_issue(cmd, earliest), "{cmd:?} blocked at its earliest {earliest}");
+            for t in next_slot..earliest {
+                prop_assert!(!ch.can_issue(cmd, t), "{cmd:?} issuable at {t} < {earliest}");
+            }
+            let first_edge = earliest.max(next_slot).next_multiple_of(DRAM_CYCLE);
+            for t in (next_slot..first_edge).step_by(DRAM_CYCLE as usize) {
+                prop_assert!(checker.check(cmd, t).is_err(), "checker accepts {cmd:?} at {t}");
+            }
+            let verdict = checker.check(cmd, first_edge);
+            prop_assert!(verdict.is_ok(), "checker rejects at {first_edge}: {verdict:?}");
+        }
+        let cmd = candidates[usize::from(choice) % candidates.len()];
+        let at = ch.earliest_issue(&cmd).max(next_slot).next_multiple_of(DRAM_CYCLE)
+            + u64::from(delay) * DRAM_CYCLE;
+        let verdict = checker.observe(&cmd, at);
+        prop_assert!(verdict.is_ok(), "history step rejected: {verdict:?}");
+        ch.issue(&cmd, ThreadId(0), at);
+        next_slot = at + DRAM_CYCLE;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn earliest_issue_is_the_first_legal_cycle_on_one_rank(
+        steps in proptest::collection::vec((any::<u16>(), 0u8..4), 1..60),
+    ) {
+        check_earliest_issue(1, &steps)?;
+    }
+
+    #[test]
+    fn earliest_issue_is_the_first_legal_cycle_on_two_ranks(
+        steps in proptest::collection::vec((any::<u16>(), 0u8..4), 1..60),
+    ) {
+        check_earliest_issue(2, &steps)?;
+    }
 
     #[test]
     fn fcfs_never_violates_protocol(specs in proptest::collection::vec(req_spec(), 1..120)) {

@@ -92,9 +92,8 @@ pub struct RunResult {
 /// Cursor of an in-progress run: which threads have been snapshotted, the
 /// cycle about to execute, and whether the cycle cap fired. Produced by
 /// [`System::begin_run`], advanced by [`System::step_cycle`], and redeemed
-/// by [`System::finish_run`] — the seam that lets lane backends interleave
-/// several systems cycle-by-cycle and lets checkpointing freeze a run
-/// mid-flight.
+/// by [`System::finish_run`] — the seam that lets checkpointing freeze a
+/// run mid-flight and resume it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunProgress {
     /// Per-thread instruction target the run was started with.
@@ -169,6 +168,11 @@ pub struct System {
     blp: Vec<BlpTracker>,
     thread_worst_case: Vec<u64>,
     completions: Vec<Completion>,
+    /// Reusable per-thread stall-cycle deltas reported each DRAM cycle.
+    stall_deltas: Vec<u64>,
+    /// Reusable per-thread count of banks servicing the thread, summed over
+    /// channels, for BLP sampling.
+    busy_banks: Vec<usize>,
 }
 
 impl std::fmt::Debug for System {
@@ -235,6 +239,8 @@ impl System {
             blp: vec![BlpTracker::new(); n],
             thread_worst_case: vec![0; n],
             completions: Vec::new(),
+            stall_deltas: Vec::new(),
+            busy_banks: Vec::new(),
             cfg,
         }
     }
@@ -287,8 +293,8 @@ impl System {
     /// `max_cycles` elapse) and returns the per-thread snapshots.
     ///
     /// Equivalent to [`System::begin_run`] + [`System::step_cycle`] until
-    /// exhaustion + [`System::finish_run`] — the decomposition the lane
-    /// backends and checkpointing build on.
+    /// exhaustion + [`System::finish_run`] — the decomposition
+    /// checkpointing builds on.
     pub fn run(&mut self) -> RunResult {
         let mut progress = self.begin_run();
         while self.step_cycle(&mut progress) {}
@@ -429,27 +435,31 @@ impl System {
             self.issue_memory_ops(t, now);
         }
         if now.is_multiple_of(DRAM_CYCLE) {
-            let stalls: Vec<u64> = self
-                .cores
-                .iter()
-                .enumerate()
-                .map(|(t, c)| {
-                    let total = c.stats().mem_stall_cycles;
-                    let delta = total - self.prev_stall[t];
-                    self.prev_stall[t] = total;
-                    delta
-                })
-                .collect();
-            for ctrl in &mut self.controllers {
-                ctrl.report_stall_cycles(&stalls, now);
+            self.stall_deltas.clear();
+            for (core, prev) in self.cores.iter().zip(&mut self.prev_stall) {
+                let total = core.stats().mem_stall_cycles;
+                self.stall_deltas.push(total - *prev);
+                *prev = total;
             }
-            for t in 0..self.cores.len() {
-                let busy: usize = self
-                    .controllers
-                    .iter()
-                    .map(|c| c.channel().banks_servicing_thread(ThreadId(t), now))
-                    .sum();
-                self.blp[t].record(busy);
+            for ctrl in &mut self.controllers {
+                ctrl.report_stall_cycles(&self.stall_deltas, now);
+            }
+            // One pass over every channel's banks counts each thread's busy
+            // banks.
+            self.busy_banks.clear();
+            self.busy_banks.resize(self.cores.len(), 0);
+            for ctrl in &self.controllers {
+                let channel = ctrl.channel();
+                for b in 0..channel.bank_count() {
+                    if let Some(t) = channel.bank(b).servicing_thread(now) {
+                        if let Some(busy) = self.busy_banks.get_mut(t.0) {
+                            *busy += 1;
+                        }
+                    }
+                }
+            }
+            for (tracker, &busy) in self.blp.iter_mut().zip(&self.busy_banks) {
+                tracker.record(busy);
             }
         }
     }
