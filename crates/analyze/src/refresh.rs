@@ -25,10 +25,10 @@
 //!
 //! — the rule's separation plus the worst-case bus drain plus full rank
 //! serialization. With gating on, a breadth-first fixpoint proves every
-//! reachable state honors the deadline. With gating off (the seeded bug:
-//! [`parbs_dram::Controller::set_refresh_gating`] drops refresh scheduling
-//! entirely), the checker reports a violation at the *analytically
-//! minimal* depth: `since` grows by one per step from zero, so the
+//! reachable state honors the deadline. With gating off (the seeded bug: a
+//! concrete [`parbs_dram::Controller`] whose `timing.t_refi` is 0 drops
+//! refresh scheduling entirely), the checker reports a violation at the
+//! *analytically minimal* depth: `since` grows by one per step from zero, so the
 //! counterexample appears at exactly `deadline + 1` steps — which the test
 //! suite asserts, proving the checker loses no precision to the
 //! abstraction.
@@ -293,19 +293,19 @@ mod tests {
         assert!(check_refresh(&cfg).is_err());
     }
 
-    /// Concrete cross-check: the real controller, with the same seeded bug
-    /// injected, observably stops refreshing — and with gating on it holds
-    /// refresh gaps near tREFI.
+    /// Concrete cross-check: the real controller holds refresh gaps near
+    /// tREFI, and with the same seeded bug injected (`t_refi = 0`, which
+    /// skips the refresh branch) it observably stops refreshing.
     #[test]
     fn concrete_controller_agrees_with_the_abstract_model() {
-        let mut timing = TimingParams::ddr2_800();
-        timing.t_refi = 6_000; // frequent refreshes keep the test short
-        let cfg = DramConfig { timing, ..DramConfig::default() };
-        let horizon = 4 * timing.t_refi;
+        let t_refi = 6_000; // frequent refreshes keep the test short
+        let horizon = 4 * t_refi;
 
-        let run = |gating: bool| -> (u64, Vec<u64>) {
-            let mut ctrl = Controller::new(cfg.clone(), Box::new(FcfsScheduler::new()));
-            ctrl.set_refresh_gating(gating);
+        let run = |t_refi: u64| -> (u64, Vec<u64>) {
+            let mut timing = TimingParams::ddr2_800();
+            timing.t_refi = t_refi;
+            let cfg = DramConfig { timing, ..DramConfig::default() };
+            let mut ctrl = Controller::new(cfg, Box::new(FcfsScheduler::new()));
             // A row-hammering read stream keeps the bus contended.
             let mut out = Vec::new();
             let mut next_id = 0u64;
@@ -333,18 +333,17 @@ mod tests {
             (ctrl.last_refresh_cycles()[0], refreshes)
         };
 
-        let (last_ok, gaps) = run(true);
+        let (last_ok, gaps) = run(t_refi);
         assert!(last_ok > 0, "refreshes must happen with gating on");
         assert!(gaps.len() >= 2);
         for gap in &gaps[1..] {
             assert!(
-                (timing.t_refi..timing.t_refi + 2_000).contains(gap),
-                "refresh gap {gap} must stay near tREFI {}",
-                timing.t_refi
+                (t_refi..t_refi + 2_000).contains(gap),
+                "refresh gap {gap} must stay near tREFI {t_refi}"
             );
         }
 
-        let (last_bug, gaps_bug) = run(false);
+        let (last_bug, gaps_bug) = run(0);
         assert_eq!(last_bug, 0, "the seeded bug drops refresh entirely");
         assert!(gaps_bug.is_empty());
     }

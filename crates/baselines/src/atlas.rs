@@ -284,15 +284,6 @@ impl MemoryScheduler for AtlasScheduler {
     fn drain_events(&mut self, out: &mut Vec<Event>) {
         out.append(&mut self.obs_events);
     }
-
-    fn debug_summary(&self) -> String {
-        let ranks: Vec<String> = self
-            .threads
-            .iter_active()
-            .map(|(t, s)| format!("t{}:r{} as={}", t.0, s.rank, s.total))
-            .collect();
-        format!("ATLAS: quantum {} [{}]", self.quanta_rolled, ranks.join(" "))
-    }
 }
 
 impl parbs_snap::Snap for ThreadService {

@@ -13,11 +13,10 @@
 //! Run with: `cargo run --release -p parbs-bench --bin many_threads`
 //! (`--quick` shrinks the sample count for CI).
 
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 use parbs_bench::hotpath;
+use parbs_bench::report::{self, json_str, median_ns};
 use parbs_dram::SchedView;
 
 /// Registered-population scales: the baseline and the two sparse extremes.
@@ -26,25 +25,6 @@ const POPULATIONS: [usize; 3] = [16, 1_000, 10_000];
 const ACTIVE_CAP: usize = 1_024;
 /// Decision-queue length for every measurement.
 const QUEUE_LEN: u64 = 128;
-
-/// Median nanoseconds per call of `f`, over `samples` samples of `iters`
-/// timed iterations each.
-fn median_ns(samples: usize, iters: u32, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters {
-        f();
-    }
-    let mut per_call: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / f64::from(iters)
-        })
-        .collect();
-    per_call.sort_by(f64::total_cmp);
-    per_call[per_call.len() / 2]
-}
 
 struct Row {
     scheduler: &'static str,
@@ -79,21 +59,6 @@ fn main() {
         }
     }
 
-    let mut json = String::from(
-        "{\n  \"benchmark\": \"many_threads\",\n  \"unit\": \"ns_per_decision\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"scheduler\": \"{}\", \"population\": {}, \"active\": {}, \
-             \"decision_ns\": {:.1}}}{}",
-            r.scheduler,
-            r.population,
-            r.active,
-            r.decision_ns,
-            if i + 1 == rows.len() { "\n" } else { ",\n" }
-        );
-    }
     // Per scheduler: decision cost at the 10k population relative to the
     // 16-thread baseline. Flat (≈1.0) is the sparse-state promise.
     let mut worst_ratio = 0.0f64;
@@ -111,8 +76,24 @@ fn main() {
             worst_name = kind.name();
         }
     }
-    let _ = write!(json, "  ],\n  \"worst_ratio_10k_vs_16\": {worst_ratio:.2}\n}}\n");
-    std::fs::write("BENCH_many_threads.json", &json).expect("write BENCH_many_threads.json");
+    let json_rows: Vec<Vec<report::Field>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("scheduler", json_str(r.scheduler)),
+                ("population", r.population.to_string()),
+                ("active", r.active.to_string()),
+                ("decision_ns", format!("{:.1}", r.decision_ns)),
+            ]
+        })
+        .collect();
+    report::write(
+        "many_threads",
+        &[("unit", json_str("ns_per_decision"))],
+        "rows",
+        &json_rows,
+        &[("worst_ratio_10k_vs_16", format!("{worst_ratio:.2}"))],
+    );
     println!(
         "\nwrote BENCH_many_threads.json (worst 10k/16 decision-cost ratio {worst_ratio:.2}x, \
          {worst_name})"

@@ -10,9 +10,9 @@
 //! cores — on smaller machines (or under CPU quotas) the run still checks
 //! determinism and records the honest numbers.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use parbs_bench::report::{self, json_str};
 use parbs_sim::experiments::{paper_five_labeled, sweep_plan};
 use parbs_sim::{Harness, MixEvaluation, SimConfig};
 use parbs_workloads::random_mixes;
@@ -65,25 +65,32 @@ fn main() {
     }
     println!("speedup {speedup:.2}x on a host with {host_parallelism} available core(s)");
 
-    let mut json = String::from("{\n  \"benchmark\": \"parallel_sweep\",\n");
-    let _ = write!(
-        json,
-        "  \"plan\": \"4 mixes x 5 schedulers (random_mixes(4, 4, 42), target {target})\",\n  \
-         \"host_parallelism\": {host_parallelism},\n  \"runs\": [\n"
+    let runs: Vec<Vec<report::Field>> = [&serial, &parallel]
+        .iter()
+        .map(|r| {
+            vec![
+                ("jobs", r.jobs.to_string()),
+                ("wall_ms", format!("{:.1}", r.wall_ms)),
+                ("cache_hits", r.cache_hits.to_string()),
+                ("cache_misses", r.cache_misses.to_string()),
+            ]
+        })
+        .collect();
+    report::write(
+        "parallel_sweep",
+        &[
+            (
+                "plan",
+                json_str(&format!(
+                    "4 mixes x 5 schedulers (random_mixes(4, 4, 42), target {target})"
+                )),
+            ),
+            ("host_parallelism", host_parallelism.to_string()),
+        ],
+        "runs",
+        &runs,
+        &[("speedup", format!("{speedup:.2}")), ("identical_output", "true".into())],
     );
-    for (i, r) in [&serial, &parallel].iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"jobs\": {}, \"wall_ms\": {:.1}, \"cache_hits\": {}, \"cache_misses\": {}}}{}",
-            r.jobs,
-            r.wall_ms,
-            r.cache_hits,
-            r.cache_misses,
-            if i == 1 { "\n" } else { ",\n" }
-        );
-    }
-    let _ = write!(json, "  ],\n  \"speedup\": {speedup:.2},\n  \"identical_output\": true\n}}\n");
-    std::fs::write("BENCH_parallel_sweep.json", &json).expect("write BENCH_parallel_sweep.json");
     println!("wrote BENCH_parallel_sweep.json");
 
     if host_parallelism >= 4 {

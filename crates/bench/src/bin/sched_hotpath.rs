@@ -12,32 +12,11 @@
 //! Run with: `cargo run --release -p parbs-bench --bin sched_hotpath`
 //! (`--quick` shrinks the sample count for CI).
 
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 use parbs_bench::hotpath;
+use parbs_bench::report::{self, json_str, median_ns};
 use parbs_dram::SchedView;
-
-/// Median nanoseconds per call of `f`, over `samples` samples of `iters`
-/// timed iterations each.
-fn median_ns(samples: usize, iters: u32, mut f: impl FnMut()) -> f64 {
-    // Warmup.
-    for _ in 0..iters {
-        f();
-    }
-    let mut per_call: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / f64::from(iters)
-        })
-        .collect();
-    per_call.sort_by(f64::total_cmp);
-    per_call[per_call.len() / 2]
-}
 
 struct Row {
     scheduler: &'static str,
@@ -77,30 +56,31 @@ fn main() {
         }
     }
 
-    let mut json = String::from(
-        "{\n  \"benchmark\": \"sched_hotpath\",\n  \"unit\": \"ns_per_decision\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"scheduler\": \"{}\", \"queue_len\": {}, \"sort_ns\": {:.1}, \
-             \"keyed_ns\": {:.1}, \"key_refresh_ns\": {:.1}, \"speedup\": {:.2}}}{}",
-            r.scheduler,
-            r.queue_len,
-            r.sort_ns,
-            r.keyed_ns,
-            r.refresh_ns,
-            r.sort_ns / r.keyed_ns,
-            if i + 1 == rows.len() { "\n" } else { ",\n" }
-        );
-    }
+    let json_rows: Vec<Vec<report::Field>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("scheduler", json_str(r.scheduler)),
+                ("queue_len", r.queue_len.to_string()),
+                ("sort_ns", format!("{:.1}", r.sort_ns)),
+                ("keyed_ns", format!("{:.1}", r.keyed_ns)),
+                ("key_refresh_ns", format!("{:.1}", r.refresh_ns)),
+                ("speedup", format!("{:.2}", r.sort_ns / r.keyed_ns)),
+            ]
+        })
+        .collect();
     let worst_128 = rows
         .iter()
         .filter(|r| r.queue_len == 128)
         .map(|r| r.sort_ns / r.keyed_ns)
         .fold(f64::INFINITY, f64::min);
-    let _ = write!(json, "  ],\n  \"min_speedup_128\": {worst_128:.2}\n}}\n");
-    std::fs::write("BENCH_sched_hotpath.json", &json).expect("write BENCH_sched_hotpath.json");
+    report::write(
+        "sched_hotpath",
+        &[("unit", json_str("ns_per_decision"))],
+        "rows",
+        &json_rows,
+        &[("min_speedup_128", format!("{worst_128:.2}"))],
+    );
     println!("\nwrote BENCH_sched_hotpath.json (min 128-entry speedup {worst_128:.1}x)");
     assert!(
         worst_128 >= 2.0,

@@ -370,9 +370,98 @@ pub mod hotpath {
     }
 }
 
+/// Timing and the `BENCH_*.json` writer shared by the snapshot binaries
+/// (`sched_hotpath`, `many_threads`, `parallel_sweep`).
+pub mod report {
+    use std::time::Instant;
+
+    /// One `"key": value` pair of a report; the value is already JSON
+    /// (a number formatted by the caller, or a string quoted with
+    /// [`json_str`]).
+    pub type Field = (&'static str, String);
+
+    /// Median nanoseconds per call of `f`, over `samples` samples of
+    /// `iters` timed iterations each, after one untimed warm-up sample.
+    pub fn median_ns(samples: usize, iters: u32, mut f: impl FnMut()) -> f64 {
+        for _ in 0..iters {
+            f();
+        }
+        let mut per_call: Vec<f64> = (0..samples)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    f();
+                }
+                start.elapsed().as_nanos() as f64 / f64::from(iters)
+            })
+            .collect();
+        per_call.sort_by(f64::total_cmp);
+        per_call[per_call.len() / 2]
+    }
+
+    /// A JSON string literal (report values carry no characters that need
+    /// escaping).
+    #[must_use]
+    pub fn json_str(s: &str) -> String {
+        format!("\"{s}\"")
+    }
+
+    /// Renders a report: `"benchmark": name`, the `head` fields, the
+    /// `rows_key` array with one object per line, then the `tail` fields.
+    #[must_use]
+    pub fn render(
+        name: &str,
+        head: &[Field],
+        rows_key: &str,
+        rows: &[Vec<Field>],
+        tail: &[Field],
+    ) -> String {
+        let pair = |(k, v): &Field| format!("\"{k}\": {v}");
+        let objects: Vec<String> = rows
+            .iter()
+            .map(|row| format!("    {{{}}}", row.iter().map(pair).collect::<Vec<_>>().join(", ")))
+            .collect();
+        let mut top = vec![format!("\"benchmark\": {}", json_str(name))];
+        top.extend(head.iter().map(pair));
+        top.push(format!("\"{rows_key}\": [\n{}\n  ]", objects.join(",\n")));
+        top.extend(tail.iter().map(pair));
+        format!("{{\n  {}\n}}\n", top.join(",\n  "))
+    }
+
+    /// Writes [`render`]'s report to `BENCH_<name>.json` in the working
+    /// directory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written.
+    pub fn write(name: &str, head: &[Field], rows_key: &str, rows: &[Vec<Field>], tail: &[Field]) {
+        let path = format!("BENCH_{name}.json");
+        std::fs::write(&path, render(name, head, rows_key, rows, tail))
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn report_renders_the_committed_bench_layout() {
+        let row = |n: u64| vec![("scheduler", report::json_str("FCFS")), ("n", n.to_string())];
+        let got = report::render(
+            "demo",
+            &[("host_parallelism", "2".into())],
+            "rows",
+            &[row(1), row(2)],
+            &[("speedup", format!("{:.2}", 1.5)), ("identical_output", "true".into())],
+        );
+        assert_eq!(
+            got,
+            "{\n  \"benchmark\": \"demo\",\n  \"host_parallelism\": 2,\n  \"rows\": [\n    \
+             {\"scheduler\": \"FCFS\", \"n\": 1},\n    {\"scheduler\": \"FCFS\", \"n\": 2}\n  \
+             ],\n  \"speedup\": 1.50,\n  \"identical_output\": true\n}\n"
+        );
+    }
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_owned()).collect()

@@ -464,15 +464,6 @@ impl MemoryScheduler for ParBsScheduler {
         })
     }
 
-    fn debug_summary(&self) -> String {
-        format!(
-            "batches={} avg_size={:.1} avg_cycles={:.0}",
-            self.stats.batches_formed,
-            self.stats.avg_batch_size(),
-            self.stats.avg_batch_cycles()
-        )
-    }
-
     fn set_observing(&mut self, enabled: bool) {
         self.observing = enabled;
         if !enabled {

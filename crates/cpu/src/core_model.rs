@@ -125,8 +125,6 @@ pub struct Core {
     lookahead: Option<Instr>,
     /// Current dependence-episode counter (bumped by each fence load).
     episode: u64,
-    /// True if the stream is paused (used to let a finished thread idle).
-    halted: bool,
 }
 
 impl std::fmt::Debug for Core {
@@ -159,7 +157,6 @@ impl Core {
             stats: CoreStats::default(),
             lookahead: None,
             episode: 0,
-            halted: false,
         }
     }
 
@@ -173,18 +170,6 @@ impl Core {
     #[must_use]
     pub fn outstanding_misses(&self) -> usize {
         self.misses.len()
-    }
-
-    /// Stops fetching new instructions; in-flight work still drains. Used by
-    /// the simulator to freeze a thread that reached its instruction target.
-    pub fn halt(&mut self) {
-        self.halted = true;
-    }
-
-    /// True if the core has been halted via [`Core::halt`].
-    #[must_use]
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// The oldest un-issued miss, if the MSHR budget and dependence chain
@@ -304,9 +289,6 @@ impl Core {
     }
 
     fn fetch(&mut self) {
-        if self.halted {
-            return;
-        }
         let mut fetched = 0;
         let mut mem_ops = 0;
         while fetched < self.cfg.fetch_width && self.window.len() < self.cfg.window_size {
@@ -452,8 +434,8 @@ impl parbs_snap::Snap for Miss {
 
 impl Core {
     /// Serializes the core's mutable state: instruction window, miss table,
-    /// store queue, statistics, fetch lookahead, dependence-episode counter,
-    /// halt flag, and the instruction stream's own state. The configuration
+    /// store queue, statistics, fetch lookahead, dependence-episode counter
+    /// and the instruction stream's own state. The configuration
     /// is not written — a restored core is rebuilt from the same
     /// [`CoreConfig`] and stream constructor first.
     pub fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
@@ -464,7 +446,6 @@ impl Core {
         w.put(&self.stats);
         w.put(&self.lookahead);
         w.u64(self.episode);
-        w.bool(self.halted);
         self.stream.save_state(w);
     }
 
@@ -504,7 +485,6 @@ impl Core {
         self.stats = r.get()?;
         self.lookahead = r.get()?;
         self.episode = r.u64()?;
-        self.halted = r.bool()?;
         self.stream.restore_state(r)
     }
 }
@@ -626,21 +606,6 @@ mod tests {
             core.tick(now);
             assert!(core.window.len() <= 16);
         }
-    }
-
-    #[test]
-    fn halted_core_stops_fetching_but_drains() {
-        let trace = vec![Instr::Load(1), Instr::Compute];
-        let mut core = Core::new(CoreConfig::table2(), Box::new(TraceStream::new(trace)));
-        core.tick(0);
-        core.halt();
-        let (_, id) = core.pending_read().unwrap();
-        core.read_issued(id);
-        core.complete_read(id);
-        let window_before = core.window.len();
-        core.tick(1);
-        assert!(core.window.len() < window_before, "drains without fetching");
-        assert!(core.is_halted());
     }
 
     #[test]

@@ -105,10 +105,6 @@ pub struct Controller {
     /// Test shim: route scheduling decisions through the O(n log n)
     /// comparator sort instead of cached keys.
     comparator_path: bool,
-    /// Fault-injection shim: when false, the controller never prioritizes
-    /// (or issues) refreshes — the seeded "dropped tREFI rule" bug that the
-    /// refresh model checker must catch. Always true in production.
-    refresh_gating: bool,
     /// Reusable buffer for inline write-side FR-FCFS keys.
     write_keys: Vec<u128>,
     /// Reusable buffer: indices into `writes` in descending `write_keys`
@@ -165,7 +161,6 @@ impl Controller {
             read_keys_dirty: true,
             idle_until: 0,
             comparator_path: false,
-            refresh_gating: true,
             write_keys: Vec::new(),
             write_order: Vec::new(),
             blp_masks: Vec::new(),
@@ -216,16 +211,6 @@ impl Controller {
     fn invalidate_keys(&mut self) {
         self.read_keys_dirty = true;
         self.idle_until = 0;
-    }
-
-    /// Fault-injection shim for the refresh model checker: when disabled,
-    /// the controller drops refresh scheduling entirely — no rank is ever
-    /// refreshed, so a busy channel violates the tREFI deadline rule. Used
-    /// by `parbs-analyze check-timing --refresh` to cross-validate that its
-    /// abstract refresh model and the concrete controller agree on both the
-    /// correct behavior and the seeded bug. Always enabled in production.
-    pub fn set_refresh_gating(&mut self, enabled: bool) {
-        self.refresh_gating = enabled;
     }
 
     /// Refresh bookkeeping exposed to the analysis oracle: the cycle of the
@@ -453,7 +438,7 @@ impl Controller {
         // deferral, guaranteed progress. Other ranks keep their open rows:
         // only the refreshed rank's banks are closed and blacked out.
         let t_refi = self.config.timing.t_refi;
-        if t_refi > 0 && self.refresh_gating {
+        if t_refi > 0 {
             let due = (0..self.channel.rank_count())
                 .filter(|&r| now >= self.last_refresh[r] + t_refi)
                 .min_by_key(|&r| (self.last_refresh[r], r));
@@ -578,15 +563,11 @@ impl Controller {
                 note(t, b);
             }
         }
-        let mut union = 0u64;
         for &t in self.blp_touched.iter() {
-            let mask = self.blp_masks[t];
-            union |= mask;
-            self.stats.record_thread_blp(ThreadId(t), mask.count_ones() as usize);
+            self.stats.record_thread_blp(ThreadId(t), self.blp_masks[t].count_ones() as usize);
             self.blp_masks[t] = 0;
         }
         self.blp_touched.clear();
-        self.stats.blp.record(union.count_ones() as usize);
     }
 
     /// Attempts to issue one command for the given queue side. Returns true
@@ -877,7 +858,7 @@ impl Controller {
                     });
                 }
                 self.stats.reads_completed += 1;
-                self.stats.record_read_latency(finish - req.arrival, req.thread);
+                self.stats.record_read_latency(finish - req.arrival);
             }
         }
     }
@@ -1352,6 +1333,6 @@ mod tests {
         let done = drain(&mut ctrl);
         assert_eq!(done.len(), 20);
         assert_eq!(ctrl.stats().reads_completed, 20);
-        assert!(ctrl.stats().worst_case_latency > 0);
+        assert!(done.iter().all(|c| c.latency() > 0));
     }
 }

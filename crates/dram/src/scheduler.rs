@@ -168,12 +168,6 @@ pub trait MemoryScheduler {
         let _ = (thread, weight);
     }
 
-    /// One-line, human-readable internal state summary for diagnostics
-    /// (e.g. PAR-BS batch statistics). Default: empty.
-    fn debug_summary(&self) -> String {
-        String::new()
-    }
-
     /// Enables or disables observability-event buffering. The controller
     /// calls this when an event sink is attached to or removed from it;
     /// while enabled, policies with observable internal transitions (batch

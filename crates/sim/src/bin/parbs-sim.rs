@@ -23,8 +23,13 @@
 //!          --seed <seed>             workload seed (default 42)
 //!          --jobs <n>                worker threads (default: all cores)
 //!
+//! scheduler choice (`run`, the observed run, flow-sweep):
+//!          --sched <name>            FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|
+//!                                    BLISS|ATLAS; `run` and the observed
+//!                                    run default to PAR-BS, flow-sweep
+//!                                    runs one scheduler instead of the zoo
+//!
 //! checkpointing (`run` only; one mix, one scheduler, one System):
-//!          --sched <name>            scheduler for the run (default PAR-BS)
 //!          --checkpoint-out <path>   write a checkpoint to <path>
 //!          --checkpoint-every <n>    ... every n cycles (default 1000000)
 //!          --resume <path>           restore state from a checkpoint and
@@ -48,9 +53,6 @@
 //!                                    (PAR-BS batching rules) and the DRAM
 //!                                    protocol checker; exit 1 on any
 //!                                    violation
-//!          --trace-sched <name>      scheduler for the observed run
-//!                                    (FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|
-//!                                    BLISS|ATLAS, default PAR-BS)
 //!          --spec <spec>             attach a monitor compiled from a spec
 //!                                    file, or prelude:invariants /
 //!                                    prelude:qos; exit 1 on error alarms
@@ -61,7 +63,6 @@
 //! trigger table per scheduler).
 //!
 //! flow-sweep options:
-//!          --sched <name>            run one scheduler instead of the zoo
 //!          --flow-rate <n>           mean flow arrivals per kilocycle (2)
 //!          --flow-size-max <n>       bounded-Pareto size cap, requests (256)
 //! ```
@@ -96,7 +97,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--trace-out", true),
     ("--trace-format", true),
     ("--check-invariants", false),
-    ("--trace-sched", true),
     ("--spec", true),
     ("--monitor-report", false),
     ("--flow-rate", true),
@@ -161,18 +161,16 @@ fn str_value_of<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
-fn sched_by_name(name: &str) -> Option<SchedulerKind> {
-    match name.to_ascii_uppercase().as_str() {
-        "FCFS" => Some(SchedulerKind::Fcfs),
-        "FR-FCFS" | "FRFCFS" => Some(SchedulerKind::FrFcfs),
-        "NFQ" => Some(SchedulerKind::Nfq),
-        "STFQ" => Some(SchedulerKind::Stfq),
-        "STFM" => Some(SchedulerKind::Stfm),
-        "PAR-BS" | "PARBS" => Some(SchedulerKind::ParBs(Default::default())),
-        "BLISS" => Some(SchedulerKind::Bliss(Default::default())),
-        "ATLAS" => Some(SchedulerKind::Atlas(Default::default())),
-        _ => None,
-    }
+/// The `--sched` scheduler, if given. An unknown name is a hard error.
+fn sched_arg(args: &[String]) -> Option<SchedulerKind> {
+    str_value_of(args, "--sched").map(|s| {
+        SchedulerKind::parse(s).unwrap_or_else(|| {
+            eprintln!(
+                "unknown scheduler '{s}'; expected FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|BLISS|ATLAS"
+            );
+            std::process::exit(2);
+        })
+    })
 }
 
 /// Resolves a `--spec` argument: `prelude:<name>` for a built-in spec,
@@ -302,15 +300,7 @@ fn observe_args(args: &[String]) -> Option<ObserveArgs> {
             std::process::exit(2);
         }),
     };
-    let sched = match str_value_of(args, "--trace-sched") {
-        None => SchedulerKind::ParBs(Default::default()),
-        Some(s) => sched_by_name(s).unwrap_or_else(|| {
-            eprintln!(
-                "unknown scheduler '{s}'; expected FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|BLISS|ATLAS"
-            );
-            std::process::exit(2);
-        }),
-    };
+    let sched = sched_arg(args).unwrap_or_else(|| SchedulerKind::ParBs(Default::default()));
     Some(ObserveArgs { out, format, checks, sched, monitor_report })
 }
 
@@ -492,7 +482,7 @@ fn print_available() {
     println!("shape:   --ranks N   --mapping row|line   --no-xor");
     println!(
         "observe: --trace-out F   --trace-format chrome|jsonl   --check-invariants   \
-         --trace-sched FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|BLISS|ATLAS"
+         --sched FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|BLISS|ATLAS"
     );
     println!("monitor: --spec F|prelude:NAME   --monitor-report   (monitor --spec S --replay F)");
 }
@@ -642,16 +632,8 @@ fn main() {
                 }
             }
             let mix = MixSpec::from_names("custom", &names);
-            let sched = match str_value_of(&args, "--sched") {
-                None => SchedulerKind::ParBs(Default::default()),
-                Some(s) => sched_by_name(s).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown scheduler '{s}'; expected \
-                         FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|BLISS|ATLAS"
-                    );
-                    std::process::exit(2);
-                }),
-            };
+            let sched =
+                sched_arg(&args).unwrap_or_else(|| SchedulerKind::ParBs(Default::default()));
             // The checkpoint fingerprint label: the bench list itself, so a
             // blob saved from one mix cannot restore into another.
             let label = names.join(",");
@@ -849,16 +831,7 @@ fn main() {
             };
             let checks = Checks::parse(&args);
             checks.apply(&mut cfg);
-            let schedulers = match str_value_of(&args, "--sched") {
-                None => SchedulerKind::zoo_seven(),
-                Some(s) => vec![sched_by_name(s).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown scheduler '{s}'; expected \
-                         FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|BLISS|ATLAS"
-                    );
-                    std::process::exit(2);
-                })],
-            };
+            let schedulers = sched_arg(&args).map_or_else(SchedulerKind::zoo_seven, |s| vec![s]);
             let mut scales: Vec<usize> = vec![16, 1024, n];
             scales.sort_unstable();
             scales.dedup();
@@ -959,7 +932,7 @@ fn main() {
                  [--sched S] [--checkpoint-out F] [--checkpoint-every N] [--resume F] \
                  [--ranks N] [--mapping row|line] [--no-xor] \
                  [--trace-out F] [--trace-format chrome|jsonl] [--check-invariants] \
-                 [--trace-sched S] [--spec S] [--monitor-report] \
+                 [--spec S] [--monitor-report] \
                  (or --list to enumerate mixes/sweeps)"
             );
             std::process::exit(2);

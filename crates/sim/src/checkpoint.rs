@@ -26,8 +26,9 @@ use crate::{RunProgress, System};
 /// Magic bytes opening every checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"PARBSCKP";
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version. Version 1 also carried the
+/// write-only BLP trackers and latency maxima that version 2 dropped.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be saved or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,8 +217,11 @@ mod tests {
         let mut sys = build(&SchedulerKind::FrFcfs);
         let progress = sys.begin_run();
         let mut blob = sys.save_checkpoint(&progress, "m").unwrap();
-        blob[8] = 99;
-        assert_eq!(sys.resume(&blob, "m"), Err(CheckpointError::BadVersion { found: 99 }));
+        // 1 is the retired layout; 99 was never written.
+        for found in [1u32, 99] {
+            blob[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(sys.resume(&blob, "m"), Err(CheckpointError::BadVersion { found }));
+        }
     }
 
     #[test]

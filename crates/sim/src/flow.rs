@@ -1,12 +1,12 @@
-//! Open-loop driver: couples any [`RequestSource`] to the DRAM controllers
+//! Open-loop driver: couples a [`FlowSource`] to the DRAM controllers
 //! without cores, windows, or instruction streams in the loop.
 //!
 //! Where [`crate::System`] interleaves cores and controllers cycle by cycle
 //! (a core holds a miss back while the controller's buffer is full), this
-//! driver implements the [`RequestSource`] backpressure contract: the
-//! source emits on its own schedule and the driver buffers what the memory
-//! system cannot yet accept, in per-channel FIFOs so one saturated channel
-//! never blocks arrivals headed elsewhere. That is the behaviour an
+//! driver owns backpressure for the flow source: the source emits on its
+//! own schedule and the driver buffers what the memory system cannot yet
+//! accept, in per-channel FIFOs so one saturated channel never blocks
+//! arrivals headed elsewhere. That is the behaviour an
 //! open-loop experiment needs — arrival times are workload facts, not
 //! consequences of memory performance — and `peak_backlog` reports how
 //! deep the resulting queues got.
@@ -26,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 use parbs_dram::{Controller, LineAddr, Request, RequestKind, ThreadId};
 use parbs_metrics::{FlowMetrics, FlowSummary, LatencyHistogram};
 use parbs_monitor::Spec;
-use parbs_workloads::{FlowConfig, FlowSource, RequestSource};
+use parbs_workloads::{FlowConfig, FlowSource};
 
 use crate::executor::scope_map;
 use crate::observe::{monitor_fanout, take_monitors};
@@ -40,7 +40,7 @@ struct Buffered {
     token: u64,
 }
 
-/// Outcome of driving one [`RequestSource`] to exhaustion.
+/// Outcome of driving one [`FlowSource`] to exhaustion.
 #[derive(Debug, Clone)]
 pub struct SourceDriveResult {
     /// Cycles elapsed when the drive stopped.
@@ -73,7 +73,7 @@ pub struct SourceDriveResult {
 pub fn drive_source(
     cfg: &SimConfig,
     scheduler: &SchedulerKind,
-    source: &mut dyn RequestSource,
+    source: &mut FlowSource,
     specs: &[Spec],
 ) -> SourceDriveResult {
     let mut controllers: Vec<Controller> = (0..cfg.dram.channels())
@@ -286,25 +286,5 @@ mod tests {
         // spec is free to warn about the backlog.
         assert_eq!(r.drive.monitor_alarms.len(), 2);
         assert_eq!(r.drive.monitor_alarms[0], 0);
-    }
-
-    #[test]
-    fn closed_loop_source_drives_through_the_same_loop() {
-        use parbs_workloads::{by_name, ClosedLoopSource, SyntheticStream};
-        let cfg = SimConfig { target_instructions: 2_000, ..SimConfig::for_cores(4) };
-        let streams: Vec<Box<dyn parbs_cpu::InstructionStream>> = (0..4)
-            .map(|i| {
-                Box::new(SyntheticStream::new(
-                    by_name("mcf").unwrap(),
-                    cfg.geometry(),
-                    cfg.seed,
-                    i as u64,
-                )) as Box<dyn parbs_cpu::InstructionStream>
-            })
-            .collect();
-        let mut src = ClosedLoopSource::new(cfg.core, streams, cfg.target_instructions);
-        let r = drive_source(&cfg, &SchedulerKind::FrFcfs, &mut src, &[]);
-        assert!(!r.timed_out, "closed-loop source drains through the open-loop driver");
-        assert!(r.reads_completed > 0);
     }
 }

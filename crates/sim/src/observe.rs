@@ -8,12 +8,11 @@
 //! carries the trace and counter sinks; every channel gets the monitors,
 //! since the PAR-BS batching rules hold per controller.
 
-use parbs_cpu::InstructionStream;
 use parbs_monitor::{Monitor, Spec};
 use parbs_obs::{downcast_sink, ChromeTraceSink, CounterSink, EventSink, FanoutSink, JsonlSink};
-use parbs_workloads::{MixSpec, SyntheticStream};
+use parbs_workloads::MixSpec;
 
-use crate::{RunResult, SchedulerKind, SimConfig, System};
+use crate::{EvalOverrides, Harness, RunResult, SchedulerKind, SimConfig, System};
 
 /// Serialization format for `--trace-out`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -186,7 +185,9 @@ fn detach(sys: &mut System, result: RunResult, specs: usize) -> ObservedRun {
     out
 }
 
-/// Runs `mix` once under `scheduler` with sinks attached per `opts`.
+/// Runs `mix` once under `scheduler` with sinks attached per `opts`, on
+/// the system [`Harness::shared_system`] builds (same streams, seeds and
+/// salts as the plan's shared run).
 ///
 /// # Panics
 ///
@@ -198,19 +199,7 @@ pub fn run_observed(
     scheduler: &SchedulerKind,
     opts: &ObserveOptions,
 ) -> ObservedRun {
-    assert_eq!(mix.cores(), cfg.cores, "mix '{}' needs {} cores", mix.name, mix.cores());
-    let geometry = cfg.geometry();
-    let seed = cfg.seed;
-    let streams: Vec<Box<dyn InstructionStream>> = mix
-        .benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            Box::new(SyntheticStream::new(b, geometry, seed, i as u64))
-                as Box<dyn InstructionStream>
-        })
-        .collect();
-    let mut sys = System::new(cfg, streams, scheduler);
+    let mut sys = Harness::new(cfg).shared_system(mix, scheduler, &EvalOverrides::none());
     attach(&mut sys, opts);
     let result = sys.run();
     detach(&mut sys, result, opts.specs.len())

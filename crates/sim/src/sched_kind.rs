@@ -73,6 +73,24 @@ impl SchedulerKind {
         }
     }
 
+    /// Parses a scheduler name, case-insensitively: `FCFS`, `FR-FCFS` (or
+    /// `FRFCFS`), `NFQ`, `STFQ`, `STFM`, `PAR-BS` (or `PARBS`), `BLISS` or
+    /// `ATLAS`, each in its default configuration. `None` for anything else.
+    #[must_use]
+    pub fn parse(name: &str) -> Option<SchedulerKind> {
+        match name.to_ascii_uppercase().as_str() {
+            "FCFS" => Some(SchedulerKind::Fcfs),
+            "FR-FCFS" | "FRFCFS" => Some(SchedulerKind::FrFcfs),
+            "NFQ" => Some(SchedulerKind::Nfq),
+            "STFQ" => Some(SchedulerKind::Stfq),
+            "STFM" => Some(SchedulerKind::Stfm),
+            "PAR-BS" | "PARBS" => Some(SchedulerKind::ParBs(ParBsConfig::default())),
+            "BLISS" => Some(SchedulerKind::Bliss(BlissConfig::default())),
+            "ATLAS" => Some(SchedulerKind::Atlas(AtlasConfig::default())),
+            _ => None,
+        }
+    }
+
     /// Instantiates a scheduler for one memory controller, applying the
     /// per-thread weights (NFQ/STFM) or priorities (PAR-BS) in `cfg`.
     #[must_use]
@@ -136,6 +154,17 @@ mod tests {
         let names: Vec<&str> =
             SchedulerKind::zoo_seven().iter().map(super::SchedulerKind::name).collect();
         assert_eq!(names, ["FR-FCFS", "FCFS", "NFQ", "STFM", "PAR-BS", "BLISS", "ATLAS"]);
+    }
+
+    #[test]
+    fn parse_round_trips_every_name_in_any_case() {
+        for kind in SchedulerKind::zoo_seven().into_iter().chain([SchedulerKind::Stfq]) {
+            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind.clone()));
+            assert_eq!(SchedulerKind::parse(&kind.name().to_lowercase()), Some(kind));
+        }
+        assert_eq!(SchedulerKind::parse("parbs"), SchedulerKind::parse("PAR-BS"));
+        assert_eq!(SchedulerKind::parse("FrFcfs"), Some(SchedulerKind::FrFcfs));
+        assert_eq!(SchedulerKind::parse("LRU"), None);
     }
 
     #[test]

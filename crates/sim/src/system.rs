@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use parbs_cpu::{Core, InstructionStream, MissId};
-use parbs_dram::{BlpTracker, Completion, Controller, Request, RequestKind, ThreadId, DRAM_CYCLE};
+use parbs_dram::{Completion, Controller, Request, RequestKind, ThreadId, DRAM_CYCLE};
 
 use crate::{SchedulerKind, SimConfig};
 
@@ -165,14 +165,10 @@ pub struct System {
     /// In-flight read requests: request id → (core, miss).
     inflight: HashMap<u64, (usize, MissId)>,
     prev_stall: Vec<u64>,
-    blp: Vec<BlpTracker>,
     thread_worst_case: Vec<u64>,
     completions: Vec<Completion>,
     /// Reusable per-thread stall-cycle deltas reported each DRAM cycle.
     stall_deltas: Vec<u64>,
-    /// Reusable per-thread count of banks servicing the thread, summed over
-    /// channels, for BLP sampling.
-    busy_banks: Vec<usize>,
 }
 
 impl std::fmt::Debug for System {
@@ -236,19 +232,11 @@ impl System {
             next_request: 0,
             inflight: HashMap::new(),
             prev_stall: vec![0; n],
-            blp: vec![BlpTracker::new(); n],
             thread_worst_case: vec![0; n],
             completions: Vec::new(),
             stall_deltas: Vec::new(),
-            busy_banks: Vec::new(),
             cfg,
         }
-    }
-
-    /// One-line internal-state summaries of each channel's scheduler.
-    #[must_use]
-    pub fn scheduler_debug_summaries(&mut self) -> Vec<String> {
-        self.controllers.iter_mut().map(|c| c.scheduler_mut().debug_summary()).collect()
     }
 
     /// The number of DRAM channels (= controllers) in the system.
@@ -414,7 +402,7 @@ impl System {
     }
 
     /// One processor cycle: controllers, completion routing, cores, memory
-    /// issue, and (on DRAM-cycle boundaries) stall feedback + BLP sampling.
+    /// issue, and (on DRAM-cycle boundaries) stall feedback.
     fn tick(&mut self, now: u64) {
         for ctrl in &mut self.controllers {
             ctrl.tick(now, &mut self.completions);
@@ -443,23 +431,6 @@ impl System {
             }
             for ctrl in &mut self.controllers {
                 ctrl.report_stall_cycles(&self.stall_deltas, now);
-            }
-            // One pass over every channel's banks counts each thread's busy
-            // banks.
-            self.busy_banks.clear();
-            self.busy_banks.resize(self.cores.len(), 0);
-            for ctrl in &self.controllers {
-                let channel = ctrl.channel();
-                for b in 0..channel.bank_count() {
-                    if let Some(t) = channel.bank(b).servicing_thread(now) {
-                        if let Some(busy) = self.busy_banks.get_mut(t.0) {
-                            *busy += 1;
-                        }
-                    }
-                }
-            }
-            for (tracker, &busy) in self.blp.iter_mut().zip(&self.busy_banks) {
-                tracker.record(busy);
             }
         }
     }
@@ -532,7 +503,6 @@ impl System {
         inflight.sort_unstable_by_key(|&(k, _)| k);
         w.put(&inflight);
         w.put(&self.prev_stall);
-        w.put(&self.blp);
         w.put(&self.thread_worst_case);
         w.put(&self.completions);
         for core in &self.cores {
@@ -562,7 +532,6 @@ impl System {
             });
         }
         self.prev_stall = prev_stall;
-        self.blp = r.get()?;
         self.thread_worst_case = r.get()?;
         self.completions = r.get()?;
         for core in &mut self.cores {

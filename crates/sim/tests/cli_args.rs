@@ -76,6 +76,23 @@ fn unknown_flag_is_a_hard_error() {
     run_expecting_usage_error(&["sweep", "3", "--lanes", "4"], "--lanes");
     run_expecting_usage_error(&["run", "lbm", "--jbos", "2"], "--jbos");
     run_expecting_usage_error(&["list", "--lanes", "1"], "--lanes");
+    run_expecting_usage_error(
+        &["mix", "lbm,mcf", "--check-invariants", "--trace-sched", "ATLAS"],
+        "--trace-sched",
+    );
+}
+
+#[test]
+fn sched_picks_the_observed_runs_scheduler() {
+    let out = parbs_sim()
+        .args(["mix", "libquantum,mcf,GemsFDTD,xalancbmk", "--target", "2000"])
+        .args(["--check-invariants", "--sched", "ATLAS"])
+        .output()
+        .expect("parbs-sim runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("observed run: ATLAS on 'custom'"), "{stdout}");
+    assert!(stdout.contains("invariants: OK (1 channel(s) checked)"), "{stdout}");
 }
 
 #[test]

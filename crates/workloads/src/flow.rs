@@ -14,6 +14,18 @@
 //! happens at **spawn time**, in arrival order, from one seeded generator.
 //! The emitted request sequence therefore depends only on the config — not
 //! on poll cadence, memory latency, or worker-thread count.
+//!
+//! The driver contract is small:
+//!
+//! * [`FlowSource::poll`] advances the source to `now` and appends every
+//!   request it wants issued by then. The driver owns backpressure — a
+//!   request the memory system cannot accept yet is the driver's to buffer,
+//!   never the source's to re-emit.
+//! * Each emitted [`SourcedRequest`] carries an opaque `token`; the driver
+//!   hands the token back through [`FlowSource::on_complete`] when the read
+//!   finishes.
+//! * [`FlowSource::exhausted`] is the driver's stop condition: every flow
+//!   has spawned and finished.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -22,7 +34,22 @@ use parbs_dram::{RequestKind, ThreadId, ThreadTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::source::{RequestSource, SourcedRequest};
+/// One memory request emitted by a [`FlowSource`], in line-address form
+/// (the driver decodes it through the system's address mapper).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SourcedRequest {
+    /// The requester the memory system attributes this request to. Ids are
+    /// sparse: a flow frontend hands out ids far beyond any core count, so
+    /// consumers must not allocate dense per-thread state.
+    pub thread: ThreadId,
+    /// Cache-line address (pre-decode).
+    pub line: u64,
+    /// Read or write.
+    pub kind: RequestKind,
+    /// Opaque completion token, returned via [`FlowSource::on_complete`]
+    /// when the read finishes. Meaningless for writes.
+    pub token: u64,
+}
 
 /// A bounded-Pareto distribution over `min..=max` with shape `alpha`.
 ///
@@ -129,8 +156,7 @@ struct FlowState {
     size: u64,
 }
 
-/// Open-loop Poisson/bounded-Pareto flow generator implementing
-/// [`RequestSource`].
+/// Open-loop Poisson/bounded-Pareto flow generator.
 pub struct FlowSource {
     cfg: FlowConfig,
     rng: StdRng,
@@ -208,22 +234,11 @@ impl FlowSource {
         // schedule never depends on when the driver polls.
         self.next_arrival = arrival + exp_gap(&mut self.rng, self.cfg.arrival_rate);
     }
-}
 
-/// One exponential inter-arrival gap in whole cycles (at least 1).
-fn exp_gap(rng: &mut StdRng, rate: f64) -> u64 {
-    let rate = rate.max(1e-12);
-    let u: f64 = rng.gen();
-    let gap = (-(1.0 - u).ln() / rate).ceil();
-    (gap as u64).max(1)
-}
-
-impl RequestSource for FlowSource {
-    fn requesters(&self) -> usize {
-        self.cfg.requesters
-    }
-
-    fn poll(&mut self, now: u64, out: &mut Vec<SourcedRequest>) {
+    /// Advances internal time to `now` and appends every request issued at
+    /// or before `now` to `out`. Call with strictly increasing `now`; gaps
+    /// are tolerated, and emission does not depend on the poll cadence.
+    pub fn poll(&mut self, now: u64, out: &mut Vec<SourcedRequest>) {
         while self.spawned < self.cfg.requesters && self.next_arrival <= now {
             let at = self.next_arrival;
             self.spawn_flow(at);
@@ -251,7 +266,8 @@ impl RequestSource for FlowSource {
         }
     }
 
-    fn on_complete(&mut self, token: u64, now: u64) {
+    /// A read previously emitted with this `token` completed at `now`.
+    pub fn on_complete(&mut self, token: u64, now: u64) {
         let id = ThreadId(token as usize);
         let done = {
             let Some(flow) = self.flows.get_mut(id) else { return };
@@ -271,9 +287,20 @@ impl RequestSource for FlowSource {
         }
     }
 
-    fn exhausted(&self) -> bool {
+    /// True once every flow has spawned and every one of its reads has
+    /// completed.
+    #[must_use]
+    pub fn exhausted(&self) -> bool {
         self.spawned == self.cfg.requesters && self.flows.is_empty()
     }
+}
+
+/// One exponential inter-arrival gap in whole cycles (at least 1).
+fn exp_gap(rng: &mut StdRng, rate: f64) -> u64 {
+    let rate = rate.max(1e-12);
+    let u: f64 = rng.gen();
+    let gap = (-(1.0 - u).ln() / rate).ceil();
+    (gap as u64).max(1)
 }
 
 #[cfg(test)]

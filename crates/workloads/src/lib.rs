@@ -35,11 +35,10 @@
 mod flow;
 mod mixes;
 mod profiles;
-mod source;
 mod synth;
 mod trace;
 
-pub use flow::{BoundedPareto, CompletedFlow, FlowConfig, FlowSource};
+pub use flow::{BoundedPareto, CompletedFlow, FlowConfig, FlowSource, SourcedRequest};
 pub use mixes::{
     accel_case_study, case_study_1, case_study_2, case_study_3, cpu_accel_mixes, fig10_named,
     fig9_8core, random_mixes, MixSpec,
@@ -48,6 +47,5 @@ pub use profiles::{
     accelerators, all_benchmarks, by_name, by_number, classify, BenchmarkProfile, PaperRow,
     ACCEL_NUMBER_BASE, CATEGORIES,
 };
-pub use source::{ClosedLoopSource, RequestSource, SourcedRequest};
 pub use synth::{StreamGeometry, SyntheticStream};
 pub use trace::{format_trace, load_trace, parse_trace, ParseTraceError};
